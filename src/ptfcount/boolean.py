@@ -3,11 +3,14 @@
 count_boolean computes Pr[p(x) >= 0] for x uniform on {-1,1}^n to additive
 accuracy eps.  The polynomial is first made multilinear exactly (x_i^2 = 1),
 then a regularity tree is grown: at each node the maximum-influence variable
-is restricted until the leaf polynomial is sign-decided, touches few enough
-variables to enumerate its subcube exactly, or is tau-regular (all
-influences small relative to the variance, in which case the Gaussian
-counter applies by the invariance principle).  Leaves hitting the depth or
-size budget contribute 1/2 and their mass is reported as error.
+is restricted until the leaf polynomial is sign-decided, touches at most
+enum_vars = 16 variables, or is tau-regular (all influences small relative
+to the variance, in which case the Gaussian counter applies by the
+invariance principle).  A small leaf is counted exactly: its values on all
+2^m points of its subcube are the fast Walsh-Hadamard transform of its
+coefficient vector, O(m 2^m) work whatever its number of terms.  Leaves
+hitting the depth or size budget contribute 1/2 and their mass is reported
+as error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .polynomials import Polynomial
 from .gaussian import CountConfig, CountResult, count_gaussian
@@ -27,7 +32,7 @@ class BooleanConfig:
     max_depth: int = 16
     leaf_cap: int = 4096         # undecided nodes processed before giving up
     decided_fail: float | None = None   # per-leaf tail mass; None -> eps/8
-    enum_vars: int = 12          # enumerate leaves touching <= this many vars
+    enum_vars: int = 16          # enumerate leaves touching <= this many vars
     gaussian: CountConfig = field(default_factory=CountConfig)
 
 
@@ -53,18 +58,34 @@ def influences(p: Polynomial) -> dict[int, float]:
 
 
 def _enumerate_support(p: Polynomial) -> float:
-    """Exact Pr[p >= 0] over the subcube of the variables p touches."""
-    import numpy as np
+    """Exact Pr[p >= 0] over the subcube of the variables p touches.
+
+    The values of a multilinear p on all 2^m points of that subcube are the
+    unnormalised Walsh-Hadamard transform of its coefficient vector, indexed
+    by bitmasks over the m touched variables; bit j of a point's index means
+    the j-th touched variable is -1.  The m butterfly passes cost O(m 2^m)
+    whatever the number of terms.
+    """
     sup = sorted(p.support_vars())
-    m = len(sup)
-    if m == 0:
-        return 1.0 if p.constant_term() >= 0.0 else 0.0
-    idx = np.arange(1 << m, dtype=np.int64)
-    x = np.zeros((1 << m, p.dim))
-    for j, v in enumerate(sup):
-        x[:, v - 1] = 1.0 - 2.0 * ((idx >> j) & 1)
-    vals = p.evaluate(x)
-    return float(np.count_nonzero(vals >= 0.0)) / (1 << m)
+    bit = {v: 1 << j for j, v in enumerate(sup)}
+    vals = np.zeros(1 << len(sup))
+    for k, c in p.coeffs.items():
+        mask = 0
+        for i in k:
+            mask ^= bit[i]       # XOR keeps x_i^2 = 1
+        vals[mask] += c
+    # pass j adds and subtracts the adjacent pairs of variable j, putting
+    # sums in the first half and differences in the second, which makes
+    # variable j+1's pairs adjacent; unlike passes in place over blocks of
+    # width 2^j, every pass runs over long unit-stride rows
+    out = np.empty_like(vals)
+    half = vals.size // 2
+    for _ in sup:
+        pairs = vals.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        vals, out = out, vals
+    return float(np.count_nonzero(vals >= 0.0)) / vals.size
 
 
 @dataclass

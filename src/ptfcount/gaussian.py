@@ -3,13 +3,16 @@
 count_gaussian computes Pr[p(x) >= 0] for x ~ N(0,1)^n to additive accuracy
 eps.  Pipeline: make the polynomial multilinear (linearize), rewrite it as
 an outer polynomial h over a few inner polynomials that are each exactly
-Gaussian or eigenregular (regularize_poly), round h's coefficients, replace
-the joint law of the inner polynomials by N(0, Sigma) with Sigma their exact
-covariance matrix rounded to a rational PSD matrix, mollify the indicator of
-{h >= 0}, and integrate by tensor-product quadrature.  When the
-decomposition emits more inner polynomials than the grid can afford, a
-deterministic low-discrepancy (Sobol) integration of the sharp indicator is
-used instead and reported as such.
+Gaussian or eigenregular (regularize_poly), and replace the joint law of the
+inner polynomials by N(0, Sigma) with Sigma their exact covariance matrix.
+With one inner polynomial (r = 1) h is univariate, and Pr[h(Y) >= 0] is
+read off in closed form from the real roots of h and the normal CDF.
+Otherwise h's coefficients are rounded, Sigma is rounded to a rational PSD
+matrix, the indicator of {h >= 0} is mollified and integrated by
+tensor-product quadrature.  When the decomposition emits more inner
+polynomials than the grid can afford, a deterministic low-discrepancy
+(Sobol) integration of the sharp indicator is used instead and reported as
+such.
 """
 
 from __future__ import annotations
@@ -281,6 +284,29 @@ def _qmc_sharp(phi: Polynomial, sigma: np.ndarray, log2_n: int,
                                          "points": int(1 << log2_n)}
 
 
+def univariate_probability(h: Polynomial, var: float) -> float:
+    """Pr[h(Y) >= 0] for Y ~ N(0, var) and h a polynomial in y_1 alone.
+
+    h keeps one sign between consecutive real roots, so the answer is the
+    Gaussian mass Phi(b) - Phi(a) of the standardized intervals (a, b)
+    between roots on which h >= 0 at an inner point.  Real parts of complex
+    roots only add breakpoints, which leaves the sum unchanged.
+    """
+    coef = np.zeros(h.degree() + 1)
+    for k, v in h.coeffs.items():
+        coef[len(k)] += v
+    if var <= 0.0:
+        return 1.0 if coef[0] >= 0.0 else 0.0
+    s = math.sqrt(var)
+    cuts = np.unique(np.roots(coef[::-1]).real) / s
+    edges = np.concatenate([[-np.inf], cuts, [np.inf]])
+    inside = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[1:] + cuts[:-1]),
+                             cuts[-1:] + 1.0]) if cuts.size else np.zeros(1)
+    keep = np.polynomial.polynomial.polyval(s * inside, coef) >= 0.0
+    mass = scipy.special.ndtr(edges[1:]) - scipy.special.ndtr(edges[:-1])
+    return float(np.sum(mass[keep]))
+
+
 # ---------------------------------------------------------------------------
 # the counting pipeline
 # ---------------------------------------------------------------------------
@@ -329,21 +355,25 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
         budget["total"] = sum(budget.values())
         return CountResult(val, eps, "constant", budget, diag)
 
-    h, grid = round_coefficients(dec.h, eps, d, r)
-    if not any(k for k in h.coeffs):  # everything rounded away
-        h = dec.h
-        grid = 0.0
-    budget["coefficient_rounding"] = grid * len(dec.h.coeffs)
+    c = config.c_scale * r
+    if r == 1:
+        # the closed form below is exact: no rounding of h or of Sigma
+        h, sigma = dec.h, build_covariance(dec.inner)
+    else:
+        h, grid = round_coefficients(dec.h, eps, d, r)
+        if not any(k for k in h.coeffs):  # everything rounded away
+            h = dec.h
+            grid = 0.0
+        budget["coefficient_rounding"] = grid * len(dec.h.coeffs)
 
-    sigma = build_covariance(dec.inner)
-    sigma_r, psd_info = round_psd(sigma, config.psd_delta)
-    diag["psd"] = psd_info
-    c = config.c_scale * max(r, 1)
-    snorm = float(np.linalg.norm(sigma, 2))
-    delta = config.psd_delta
-    budget["covariance_rounding"] = (2.0 * c * r
-                                     * (delta + 3.0 * math.sqrt(delta
-                                                                * snorm)))
+        sigma = build_covariance(dec.inner)
+        sigma_r, psd_info = round_psd(sigma, config.psd_delta)
+        diag["psd"] = psd_info
+        snorm = float(np.linalg.norm(sigma, 2))
+        delta = config.psd_delta
+        budget["covariance_rounding"] = (2.0 * c * r
+                                         * (delta + 3.0 * math.sqrt(
+                                             delta * snorm)))
     cert = None
     if any(ip.level >= 2 for ip in dec.inner):
         cost = sum(len(ip.tensor.coeffs) for ip in dec.inner) ** 2
@@ -357,23 +387,28 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
         worst = max(dec.eigen) if dec.eigen else 0.0
         budget["clt_heuristic"] = math.sqrt(worst)
 
-    method = "grid"
-    try:
-        if r > config.grid_dims_cap:
-            raise RuntimeError(f"{r} inner polynomials exceed the grid "
-                               f"dimension cap {config.grid_dims_cap}")
-        moll = MollifiedIndicator(h, r, c, inner_grid=config.inner_grid)
-        budget["mollifier_tail"] = moll.xi
-        budget["mollification"] = min(1.0, 2.0 / c)
-        val, qinfo = integrate_gaussian(moll, sigma_r, eps,
-                                        max_grid=config.max_grid)
-        diag["quadrature"] = qinfo
-    except RuntimeError as exc:
-        method = "qmc"
-        diag["grid_fallback_reason"] = str(exc)
-        val, qinfo = _qmc_sharp(h, sigma_r, config.qmc_log2_n, config.seed)
-        diag["quadrature"] = qinfo
-        budget["qmc_resolution"] = 4.0 / math.sqrt(qinfo["points"])
+    if r == 1:
+        method = "closed_form"
+        val = univariate_probability(h, float(sigma[0, 0]))
+    else:
+        method = "grid"
+        try:
+            if r > config.grid_dims_cap:
+                raise RuntimeError(f"{r} inner polynomials exceed the grid "
+                                   f"dimension cap {config.grid_dims_cap}")
+            moll = MollifiedIndicator(h, r, c, inner_grid=config.inner_grid)
+            budget["mollifier_tail"] = moll.xi
+            budget["mollification"] = min(1.0, 2.0 / c)
+            val, qinfo = integrate_gaussian(moll, sigma_r, eps,
+                                            max_grid=config.max_grid)
+            diag["quadrature"] = qinfo
+        except RuntimeError as exc:
+            method = "qmc"
+            diag["grid_fallback_reason"] = str(exc)
+            val, qinfo = _qmc_sharp(h, sigma_r, config.qmc_log2_n,
+                                    config.seed)
+            diag["quadrature"] = qinfo
+            budget["qmc_resolution"] = 4.0 / math.sqrt(qinfo["points"])
 
     budget["total"] = float(sum(v for v in budget.values()
                                 if isinstance(v, (int, float))))

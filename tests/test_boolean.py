@@ -4,6 +4,7 @@ import pytest
 from ptfcount.polynomials import Polynomial
 from ptfcount.boolean import (
     BooleanConfig,
+    _enumerate_support,
     construct_tree,
     count_boolean,
     derive_tau,
@@ -90,3 +91,66 @@ def test_budget_total_bounds_actual_error(rng):
         res = count_boolean(p, 0.05)
         truth = float(enumerate_boolean(p))
         assert abs(res.value - truth) <= res.budget["total"] + 1e-9
+
+
+def _random_on_support(rng, support, dim, terms):
+    """Random multilinear polynomial of degree <= 3 touching every var in
+    support."""
+    support = list(support)
+    coeffs = {(): float(rng.normal())}
+    for i in support:
+        coeffs[(i,)] = float(rng.normal())
+    for _ in range(terms):
+        q = int(rng.integers(2, min(3, len(support)) + 1)) \
+            if len(support) >= 2 else 1
+        key = tuple(sorted(int(v) for v in rng.choice(support, size=q,
+                                                      replace=False)))
+        coeffs[key] = coeffs.get(key, 0.0) + float(rng.normal())
+    return Polynomial(dim, coeffs)
+
+
+def test_enumerate_support_matches_direct_evaluation(rng):
+    # supports drawn from 1..m+2, so most are not contiguous; dim > m
+    supports = [sorted(rng.choice(np.arange(1, m + 3), size=m,
+                                  replace=False).tolist())
+                for m in range(1, 17)]
+    for support in supports + [[2, 5, 9, 11, 17]]:
+        m = len(support)
+        p = _random_on_support(rng, support, max(support) + 3, terms=2 * m)
+        assert len(p.support_vars()) == m
+        assert _enumerate_support(p) == float(enumerate_boolean(p))
+
+
+def test_enumerate_support_exact_zero_ties():
+    # p(x) = 0 counts as p >= 0
+    p = Polynomial(4, {(1,): 1.0, (2,): 1.0, (3,): 1.0, (4,): 1.0})
+    assert _enumerate_support(p) == 11 / 16
+    p = Polynomial(4, {(1, 2): 1.0, (3, 4): 1.0})
+    assert _enumerate_support(p) == 3 / 4
+    assert _enumerate_support(Polynomial(3, {(): 0.0})) == 1.0
+
+
+def test_enumerate_support_squares_cancel():
+    # x1^2 x2 = x2 on the hypercube
+    p = Polynomial(2, {(1, 1, 2): 1.0, (2,): 1.0, (): -1.5})
+    assert _enumerate_support(p) == 1 / 2 == float(enumerate_boolean(p))
+
+
+def test_enumerate_support_deterministic(rng):
+    p = _random_on_support(rng, range(1, 15), 14, terms=40)
+    assert _enumerate_support(p) == _enumerate_support(p)
+
+
+def test_dense_n18_settles_at_depth_two(rng):
+    n = 18
+    coeffs = {(): float(rng.normal())}
+    for i in range(1, n + 1):
+        coeffs[(i,)] = float(rng.normal())
+        for j in range(i + 1, n + 1):
+            coeffs[(i, j)] = float(rng.normal())
+    p = Polynomial(n, coeffs)
+    res = count_boolean(p, 0.05)
+    assert res.diagnostics["leaf_kinds"]["enumerated"] == 4
+    assert res.diagnostics["leaves"] == 4
+    assert res.diagnostics["depth"] == 2
+    assert res.value == float(enumerate_boolean(p))

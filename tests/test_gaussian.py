@@ -14,9 +14,11 @@ from ptfcount.gaussian import (
     integrate_gaussian,
     round_coefficients,
     round_psd,
+    univariate_probability,
 )
 from ptfcount.decomposition import InnerPoly
 from ptfcount.tensors import SymTensor
+from ptfcount.boolean import count_boolean
 from ptfcount.oracles import mc_gaussian
 
 from conftest import random_polynomial
@@ -105,6 +107,30 @@ def test_grid_cap_reports_requirement():
     m = MollifiedIndicator(phi, 2, 32.0)
     with pytest.raises(RuntimeError):
         integrate_gaussian(m, np.eye(2), 0.05, max_grid=100)
+
+
+def test_univariate_probability_square():
+    # Pr[Y^2 >= 1] = 2 Phi(-1)
+    h = Polynomial(1, {(1, 1): 1.0, (): -1.0})
+    assert univariate_probability(h, 1.0) == pytest.approx(
+        2.0 * norm.cdf(-1.0), abs=1e-12)
+
+
+def test_one_inner_polynomial_closed_form():
+    # x_1 + ... + x_n - t decomposes to one Gaussian inner polynomial
+    n, t = 1700, 17
+    p = Polynomial(n, {(i,): 1.0 for i in range(1, n + 1)})
+    p.coeffs[()] = -float(t)
+    want = norm.cdf(-t / math.sqrt(n))
+    res = count_gaussian(p, 0.05)
+    assert res.method == "closed_form"
+    assert res.value == pytest.approx(want, abs=1e-9)
+    assert "mollification" not in res.budget
+    assert "mollifier_tail" not in res.budget
+    # the boolean counter hands the same polynomial over as one regular leaf
+    res = count_boolean(p, 0.05)
+    assert res.diagnostics["leaf_kinds"]["regular"] == 1
+    assert res.value == pytest.approx(want, abs=1e-9)
 
 
 def test_qmc_fallback_deterministic():
