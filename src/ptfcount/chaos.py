@@ -102,12 +102,6 @@ def single_level(t: SymTensor) -> ChaosDecomposition:
     return c
 
 
-def constant_chaos(c: float, dim: int = 0) -> ChaosDecomposition:
-    out = ChaosDecomposition(dim)
-    out.set_level(0, SymTensor(0, dim, {(): c} if c != 0.0 else {}))
-    return out
-
-
 def to_chaos(p: Polynomial) -> ChaosDecomposition:
     """Expand a polynomial into its Wiener chaos slices."""
     import itertools
@@ -175,14 +169,6 @@ def from_chaos(c: ChaosDecomposition) -> Polynomial:
     cut = 1e-13 * big
     out.coeffs = {k: v for k, v in out.coeffs.items() if abs(v) > cut}
     return out
-
-
-def gaussian_mean(p: Polynomial) -> float:
-    return to_chaos(p).mean()
-
-
-def gaussian_variance(p: Polynomial) -> float:
-    return to_chaos(p).variance()
 
 
 def ito_multiply_levels(f: SymTensor, g: SymTensor) -> ChaosDecomposition:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from .polynomials import Polynomial
-from .chaos import to_chaos, single_level, clt_error_certificate
+from .chaos import to_chaos, clt_error_certificate
 from .tensors import lambda_max, eigenregularity
 from .decomposition import DecompositionConfig, regularize_poly
 from .gaussian import CountConfig, count_gaussian
@@ -95,7 +94,7 @@ def _schedule_from(path: str | None) -> list[float] | None:
 def _configs(args) -> tuple[CountConfig, BooleanConfig]:
     dec = DecompositionConfig(mode=args.mode,
                               schedule=_schedule_from(args.schedule))
-    gcfg = CountConfig(mode=args.mode, decomp=dec, seed=args.seed,
+    gcfg = CountConfig(decomp=dec, seed=args.seed,
                        max_grid=args.max_grid, lin_k_cap=args.max_k)
     bcfg = BooleanConfig(mode=args.mode, tau=args.tau, gaussian=gcfg)
     return gcfg, bcfg
@@ -104,8 +103,7 @@ def _configs(args) -> tuple[CountConfig, BooleanConfig]:
 def _params(args) -> dict:
     return {"eps": args.eps, "tau": args.tau, "mode": args.mode,
             "seed": args.seed, "max_k": args.max_k,
-            "max_grid": args.max_grid, "schedule": args.schedule,
-            "threads": os.environ.get("PTFCOUNT_THREADS", "0")}
+            "max_grid": args.max_grid, "schedule": args.schedule}
 
 
 def _json_default(obj):

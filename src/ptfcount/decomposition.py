@@ -8,16 +8,16 @@ where h is a multilinear "outer" polynomial, each inner A_i lives in a
 single Wiener chaos with unit variance, and every A_i is either degree <= 1
 (exactly Gaussian) or eigenregular.  The construction works level by level:
 split_one_wiener peels one product pair off a single chaos element,
-decompose_one_wiener iterates that with projections, the (multi)
-regularize routines drive decompose across a decreasing schedule of
-eigenregularity thresholds, and multi_regularize_many_wieners recurses over
-chaos levels.
+decompose_one_wiener iterates that with projections,
+multi_regularize_one_wiener drives every input of one chaos level through a
+shared decreasing schedule of eigenregularity thresholds, and
+multi_regularize_many_wieners recurses over chaos levels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,34 +25,28 @@ from .polynomials import Polynomial
 from .tensors import (
     SymTensor,
     contract_sym,
+    eigenregularity,
     inner,
     lambda_max,
     orbit_size,
     sub_multisets,
 )
-from .chaos import ChaosDecomposition, single_level, ito_multiply_levels
-
-# Exhaustive partition search is used when at most this many variables are
-# relevant; beyond it, greedy conditional-expectation assignment takes over.
-EXHAUSTIVE_PARTITION_VARS = 16
-EXHAUSTIVE_PARTITION_WORK = 5 * 10 ** 7
+from .chaos import ChaosDecomposition, single_level
 
 # Constant in the iteration bound m <= M_SLACK * (4^q / eta^2) * log(1/eps)
 # for decompose_one_wiener.
 M_SLACK = 8
+
+# The default schedule shrinks eta by ETA_RATIO per step down to ETA_MIN.
+ETA_RATIO = 0.5
+ETA_MIN = 0.05
 
 
 @dataclass
 class DecompositionConfig:
     mode: str = "practical"   # "practical" | "certified"
     eta0: float = 0.2
-    eta_ratio: float = 0.5
-    eta_min: float = 0.05
-    schedule_len: int | None = None
     schedule: list[float] | None = None  # explicit user schedule wins
-    # certified-mode constants (absolute constants in the schedule formulas)
-    C: float = 1.0
-    C_prime: float = 1.0
 
 
 def var_of(t: SymTensor) -> float:
@@ -69,9 +63,7 @@ class InnerPoly:
     tensor: SymTensor
 
     def eigenregularity(self) -> float:
-        if self.level <= 1:
-            return 0.0
-        return lambda_max(self.tensor).value / math.sqrt(var_of(self.tensor))
+        return eigenregularity(self.tensor)
 
 
 def make_schedule(eps: float, r: int,
@@ -79,51 +71,18 @@ def make_schedule(eps: float, r: int,
     """Decreasing eigenregularity thresholds eta_1 >= ... >= eta_K.
 
     K is large enough that the variance decay (1-eps)^i forces an exit
-    before exhaustion; after eta_min is reached the schedule stays flat.
+    before exhaustion; after ETA_MIN is reached the schedule stays flat.
     """
     if config.schedule is not None:
         return list(config.schedule)
-    K = config.schedule_len
-    if K is None:
-        K = max(4, math.ceil(max(r, 1) / eps * math.log(1.0 / eps)) + 1)
-        K = min(K, 4000)
+    K = max(4, math.ceil(max(r, 1) / eps * math.log(1.0 / eps)) + 1)
+    K = min(K, 4000)
     out = []
     eta = config.eta0
     for _ in range(K):
         out.append(eta)
-        eta = max(config.eta_min, eta * config.eta_ratio)
+        eta = max(ETA_MIN, eta * ETA_RATIO)
     return out
-
-
-def certified_eta_schedule_d2(k: int, eps: float, beta,
-                              config: DecompositionConfig) -> list[float]:
-    """Literal threshold recursion for the degree-2 stage.
-
-    eta_{t+1} = beta(C k^2/eps (1/eta_t^2) log^2(1/eps)
-                     + C' k^3 (4/eta_t)^{C' (1/eta_t^2) log(1/eps)}).
-
-    The values shrink astronomically fast; this is exposed for
-    documentation and certified-mode reporting, not routine use.
-    """
-    K = max(4, math.ceil(k / eps * math.log(1.0 / eps)) + 1)
-    K = min(K, 64)
-    etas = []
-    eta = 1.0
-    log1e = math.log(1.0 / eps)
-    for _ in range(K):
-        expo = config.C_prime * (1.0 / eta ** 2) * log1e
-        # guard against overflow; beyond ~1e300 the argument saturates
-        try:
-            coeff_term = config.C_prime * k ** 3 * (4.0 / eta) ** min(expo, 900.0)
-        except OverflowError:
-            coeff_term = float("inf")
-        arg = (config.C * k * k / eps * (1.0 / eta ** 2) * log1e ** 2
-               + coeff_term)
-        eta = beta(arg) if math.isfinite(arg) else 0.0
-        etas.append(eta)
-        if eta == 0.0:
-            break
-    return etas
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +93,11 @@ def certified_eta_schedule_d2(k: int, eps: float, beta,
 class SplitOutcome:
     eigenregular: bool
     lam: float                       # lambda_max of the input
-    split_at: int = 0
     c: float = 0.0
     p: InnerPoly | None = None
     q: InnerPoly | None = None
     remainder: SymTensor | None = None
     product: SymTensor | None = None  # tensor of P*Q (unit variance)
-    partition: tuple[frozenset, frozenset] | None = None
-    objective: float = 0.0
 
 
 def _partition_terms(f: SymTensor, alpha: SymTensor, beta: SymTensor):
@@ -173,73 +129,37 @@ def _partition_terms(f: SymTensor, alpha: SymTensor, beta: SymTensor):
 
 def derandomized_partition(f: SymTensor, alpha: SymTensor,
                            beta: SymTensor) -> tuple[set[int], set[int]]:
-    """Deterministic variable partition (A1, A2) maximizing
+    """Deterministic variable partition (A1, A2) for
     <f, alpha|A1 (x) beta|A2>.
 
-    Small instances are solved exhaustively; larger ones by the method of
-    conditional expectations over independent coin flips, which attains at
-    least the sample-space average.
+    The method of conditional expectations over independent fair coin flips
+    (one per variable, heads for A1): each variable in turn goes to the side
+    that does not lower the conditional expectation, so the result attains
+    at least the coin-flip average sum_w w 2^-|vars(w)|.
     """
     terms = _partition_terms(f, alpha, beta)
-    vars_all = sorted(set().union(*[vs | vt for _, vs, vt in terms])
-                      if terms else set())
     support = f.support_vars() | alpha.support_vars() | beta.support_vars()
     if not terms:
         return set(support), set()
-
-    nv = len(vars_all)
-    if (nv <= EXHAUSTIVE_PARTITION_VARS
-            and (1 << nv) * len(terms) <= EXHAUSTIVE_PARTITION_WORK):
-        pos = {v: i for i, v in enumerate(vars_all)}
-        masks = [(w,
-                  sum(1 << pos[v] for v in vs),
-                  sum(1 << pos[v] for v in vt)) for w, vs, vt in terms]
-        best_val, best_mask = -math.inf, 0
-        for assign in range(1 << nv):
-            val = 0.0
-            for w, ms, mt in masks:
-                if (assign & ms) == ms and (assign & mt) == 0:
-                    val += w
-            if val > best_val:
-                best_val, best_mask = val, assign
-        a1 = {v for v in vars_all if best_mask & (1 << pos[v])}
-    else:
-        # greedy conditional expectations; unresolved vars are coins
-        by_var: dict[int, list[int]] = {}
-        for idx, (_, vs, vt) in enumerate(terms):
-            for v in vs | vt:
-                by_var.setdefault(v, []).append(idx)
-        state = [(w, vs, vt, 0.5 ** len(vs | vt), True)
-                 for w, vs, vt in terms]
-        expect = sum(w * pr for w, _, _, pr, _ in state)
-        a1 = set()
-        for v in vars_all:
-            delta1 = 0.0  # change in E if v -> A1
-            delta2 = 0.0
-            for idx in by_var[v]:
-                w, vs, vt, pr, alive = state[idx]
-                if not alive:
-                    continue
-                if v in vs:
-                    delta1 += w * pr      # prob factor 1/2 -> 1
-                    delta2 -= w * pr      # term dies
-                else:
-                    delta1 -= w * pr
-                    delta2 += w * pr
-            to_a1 = delta1 >= delta2
-            if to_a1:
-                a1.add(v)
-            for idx in by_var[v]:
-                w, vs, vt, pr, alive = state[idx]
-                if not alive:
-                    continue
-                in_s = v in vs
-                if in_s == to_a1:
-                    state[idx] = (w, vs, vt, pr * 2.0, True)
-                else:
-                    state[idx] = (w, vs, vt, 0.0, False)
-    a2 = set(support) - a1
-    return a1, a2 | (set(vars_all) - a1)
+    by_var: dict[int, list[int]] = {}
+    for idx, (_, vs, vt) in enumerate(terms):
+        for v in vs | vt:
+            by_var.setdefault(v, []).append(idx)
+    pr = [0.5 ** len(vs | vt) for _, vs, vt in terms]  # Pr[term fires]
+    a1 = set()
+    for v in sorted(by_var):
+        # E[obj | v -> A1] - E[obj | v -> A2], up to a factor of 2
+        gain = 0.0
+        for idx in by_var[v]:
+            w, vs, _ = terms[idx]
+            gain += w * pr[idx] if v in vs else -w * pr[idx]
+        to_a1 = gain >= 0.0
+        if to_a1:
+            a1.add(v)
+        for idx in by_var[v]:
+            same_side = (v in terms[idx][1]) == to_a1
+            pr[idx] = 2.0 * pr[idx] if same_side else 0.0
+    return a1, set(support) - a1
 
 
 def partition_objective(f: SymTensor, alpha: SymTensor, beta: SymTensor,
@@ -284,10 +204,8 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     u = contract_sym(g1, g2, 0)  # tensor of P*Q, unit variance
     c = math.factorial(q) * inner(f, u)
     r = f.add(u, -c)
-    obj = partition_objective(f, alpha, beta, a1, a2)
-    return SplitOutcome(False, rep.value, rep.split_at, c,
-                        InnerPoly(q1, g1), InnerPoly(q2, g2), r, u,
-                        (frozenset(a1), frozenset(a2)), obj)
+    return SplitOutcome(False, rep.value, c,
+                        InnerPoly(q1, g1), InnerPoly(q2, g2), r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +221,6 @@ class DecomposeOutcome:
     remainder_var: float
     remainder_eig: float        # lambda_max of normalized remainder
     m: int
-    eta: float
-    eps: float
 
     def product_part(self) -> SymTensor | None:
         out = None
@@ -342,14 +258,14 @@ def decompose_one_wiener(f: SymTensor, eta: float,
             return DecomposeOutcome(
                 "small-remainder",
                 [(c, p_, q_) for c, (p_, q_) in zip(coeffs, pq)],
-                products, g, varg, 0.0, len(products), eta, eps)
+                products, g, varg, 0.0, len(products))
         ghat = g.scale(1.0 / math.sqrt(varg))
         out = split_one_wiener(ghat, eta)
         if out.eigenregular:
             return DecomposeOutcome(
                 "eigenregular",
                 [(c, p_, q_) for c, (p_, q_) in zip(coeffs, pq)],
-                products, g, varg, out.lam, len(products), eta, eps)
+                products, g, varg, out.lam, len(products))
         products.append(out.product)
         pq.append((out.p, out.q))
         if len(products) > m_max:
@@ -374,16 +290,8 @@ def decompose_one_wiener(f: SymTensor, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# regularize one wiener
+# multi regularize one wiener
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StageRecord:
-    index: int          # 1-based schedule position
-    eta: float
-    m: int
-    sum_c_sq: float
-
 
 @dataclass
 class RegularizeOutcome:
@@ -395,69 +303,18 @@ class RegularizeOutcome:
     a_reg: float
     reg: SymTensor | None       # unit variance when present
     reg_eig: float              # achieved lambda_max ratio of R_reg
-    level: int                  # schedule level "ell"
     eta_next: float             # eta_{ell+1} promised for R_reg
-    exit_reason: str
-    stages: list[StageRecord] = field(default_factory=list)
 
-
-def _scaled_triples(dec: DecomposeOutcome, lam_inv: float):
-    return [(c * lam_inv, p_, q_) for c, p_, q_ in dec.triples]
-
-
-def regularize_one_wiener(f: SymTensor, schedule: list[float],
-                          eps: float) -> RegularizeOutcome:
-    """Schedule-driven decomposition of a unit-variance I_q(f)."""
-    q = f.order
-    triples: list[tuple[float, InnerPoly, InnerPoly]] = []
-    products: list[SymTensor] = []
-    stages: list[StageRecord] = []
-    g = f.copy()
-    for i, eta_i in enumerate(schedule, start=1):
-        varg = var_of(g)
-        if varg <= eps:
-            return RegularizeOutcome(
-                triples, products, g, varg, 0.0, None, 0.0, i - 1,
-                eta_i, "small-var", stages)
-        lam_inv = math.sqrt(varg)  # g = lam_inv * ghat
-        ghat = g.scale(1.0 / lam_inv)
-        dec = decompose_one_wiener(ghat, eta_i, eps)
-        stages.append(StageRecord(i, eta_i, dec.m, dec.sum_c_sq()))
-        if dec.status == "small-remainder":
-            triples = triples + _scaled_triples(dec, lam_inv)
-            products = products + dec.products
-            neg = dec.remainder.scale(lam_inv)
-            return RegularizeOutcome(
-                triples, products, neg, var_of(neg), 0.0, None, 0.0, i,
-                schedule[i] if i < len(schedule) else 0.0,
-                "small-remainder", stages)
-        prod_part = dec.product_part()
-        prod_var = var_of(prod_part.scale(lam_inv)) if prod_part is not None \
-            else 0.0
-        if prod_var <= eps:
-            neg = prod_part.scale(lam_inv) if prod_part is not None \
-                else SymTensor(q, f.dim, {})
-            rr = dec.remainder.scale(lam_inv)
-            a_reg = math.sqrt(var_of(rr))
-            reg = rr.scale(1.0 / a_reg) if a_reg > 0 else None
-            return RegularizeOutcome(
-                triples, products, neg, var_of(neg), a_reg, reg,
-                dec.remainder_eig, i - 1, eta_i, "eigenregular", stages)
-        triples = triples + _scaled_triples(dec, lam_inv)
-        products = products + dec.products
-        g = dec.remainder.scale(lam_inv)
-    raise RuntimeError("regularize_one_wiener exhausted its schedule")
-
-
-# ---------------------------------------------------------------------------
-# multi regularize one wiener
-# ---------------------------------------------------------------------------
 
 @dataclass
 class MultiOutcome:
     per_input: list[RegularizeOutcome]
     t: int
     eta_next: float
+
+
+def _scaled_triples(dec: DecomposeOutcome, lam_inv: float):
+    return [(c * lam_inv, p_, q_) for c, p_, q_ in dec.triples]
 
 
 def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
@@ -471,70 +328,63 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
     r = len(fs)
     if r == 0:
         return MultiOutcome([], 0, 1.0)
-    q = fs[0].order
-    live = set(range(r))
+    live = list(range(r))
     g = [f.copy() for f in fs]
     triples: list[list] = [[] for _ in range(r)]
     products: list[list] = [[] for _ in range(r)]
-    stages: list[list[StageRecord]] = [[] for _ in range(r)]
     result: list[RegularizeOutcome | None] = [None] * r
     t_exit = 0
     for i, eta_i in enumerate(schedule, start=1):
-        for s in sorted(live):
+        eta_after = schedule[i] if i < len(schedule) else 0.0
+        for s in live:
             varg = var_of(g[s])
             if varg <= eps:
                 result[s] = RegularizeOutcome(
                     triples[s], products[s], g[s], varg, 0.0, None, 0.0,
-                    i - 1, eta_i, "small-var", stages[s])
-                live.discard(s)
+                    eta_i)
+        live = [s for s in live if result[s] is None]
         if not live:
-            return MultiOutcome([r_ for r_ in result], t_exit,
-                                eta_i)
+            return MultiOutcome(result, t_exit, eta_i)
         decs: dict[int, tuple[DecomposeOutcome, float]] = {}
-        for s in sorted(live):
-            lam_inv = math.sqrt(var_of(g[s]))
+        for s in live:
+            lam_inv = math.sqrt(var_of(g[s]))  # g = lam_inv * ghat
             decs[s] = (decompose_one_wiener(g[s].scale(1.0 / lam_inv),
                                             eta_i, eps), lam_inv)
-            stages[s].append(StageRecord(i, eta_i, decs[s][0].m,
-                                         decs[s][0].sum_c_sq()))
-        for s in sorted(live):
+        for s in live:
             dec, lam_inv = decs[s]
             if dec.status == "small-remainder":
-                triples[s] = triples[s] + _scaled_triples(dec, lam_inv)
-                products[s] = products[s] + dec.products
+                triples[s] += _scaled_triples(dec, lam_inv)
+                products[s] += dec.products
                 neg = dec.remainder.scale(lam_inv)
                 result[s] = RegularizeOutcome(
                     triples[s], products[s], neg, var_of(neg), 0.0, None,
-                    0.0, i, schedule[i] if i < len(schedule) else 0.0,
-                    "small-remainder", stages[s])
-                live.discard(s)
+                    0.0, eta_after)
+        live = [s for s in live if result[s] is None]
         if not live:
-            return MultiOutcome([r_ for r_ in result], t_exit,
-                                schedule[i] if i < len(schedule) else 0.0)
+            return MultiOutcome(result, t_exit, eta_after)
         prod_vars = {}
-        for s in sorted(live):
+        for s in live:
             dec, lam_inv = decs[s]
             pp = dec.product_part()
             prod_vars[s] = var_of(pp.scale(lam_inv)) if pp is not None else 0.0
         if all(pv <= eps for pv in prod_vars.values()):
-            for s in sorted(live):
+            for s in live:
                 dec, lam_inv = decs[s]
                 pp = dec.product_part()
                 neg = pp.scale(lam_inv) if pp is not None \
-                    else SymTensor(q, fs[s].dim, {})
+                    else SymTensor(fs[s].order, fs[s].dim, {})
                 rr = dec.remainder.scale(lam_inv)
                 a_reg = math.sqrt(var_of(rr))
                 reg = rr.scale(1.0 / a_reg) if a_reg > 0 else None
                 result[s] = RegularizeOutcome(
                     triples[s], products[s], neg, var_of(neg), a_reg, reg,
-                    dec.remainder_eig, i - 1, eta_i, "eigenregular",
-                    stages[s])
-            return MultiOutcome([r_ for r_ in result], i - 1, eta_i)
-        for s in sorted(live):
+                    dec.remainder_eig, eta_i)
+            return MultiOutcome(result, i - 1, eta_i)
+        for s in live:
             dec, lam_inv = decs[s]
             if prod_vars[s] > eps:
-                triples[s] = triples[s] + _scaled_triples(dec, lam_inv)
-                products[s] = products[s] + dec.products
+                triples[s] += _scaled_triples(dec, lam_inv)
+                products[s] += dec.products
                 g[s] = dec.remainder.scale(lam_inv)
                 t_exit = i
             # inputs with small product variance keep their g and retry
@@ -606,7 +456,7 @@ def multi_regularize_many_wieners(
         else:
             slices[s][1] = Polynomial(0, {})
     if d <= 1:
-        num = sum(len(_poly_args(slices[s][q]))
+        num = sum(len(slices[s][q].support_vars())
                   for s in range(k) for q in slices[s])
         coeff = sum(slices[s][q].l1_norm() for s in range(k)
                     for q in slices[s])
@@ -706,7 +556,7 @@ def multi_regularize_many_wieners(
     used: set[int] = set()
     for s in range(k):
         for q_, poly in slices[s].items():
-            used.update(_poly_args(poly))
+            used.update(poly.support_vars())
     num = len(used)
     coeff = sum(poly.l1_norm() for s in range(k)
                 for poly in slices[s].values())
@@ -716,10 +566,6 @@ def multi_regularize_many_wieners(
                        diagnostics["recursion"].get("eta_next", 1.0))
     return MRMWResult(slices, pool, neg_var, num, coeff, eta_next,
                       diagnostics)
-
-
-def _poly_args(p: Polynomial) -> set[int]:
-    return p.support_vars()
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,14 @@ import scipy.special
 import scipy.stats
 
 from .polynomials import Polynomial
-from .chaos import ChaosDecomposition, to_chaos, clt_error_certificate, single_level
-from .decomposition import (
-    DecompositionConfig,
-    DecompositionResult,
-    InnerPoly,
-    regularize_poly,
-    var_of,
-)
+from .chaos import to_chaos, clt_error_certificate, single_level
+from .decomposition import DecompositionConfig, InnerPoly, regularize_poly
 from .multilinear import linearize
 from .tensors import inner as tensor_inner
 
 
 @dataclass
 class CountConfig:
-    mode: str = "practical"              # "practical" | "certified"
     # linearization (practical caps; the certified K formula is astronomical)
     lin_term_cap: int = 4000
     lin_k_cap: int = 1_000_000
@@ -212,10 +205,6 @@ class MollifiedIndicator:
             vals = self.phi.evaluate(flat).reshape(hi - lo, m)
             out[lo:hi] = (vals >= 0.0) @ self._wts
         return out
-
-
-def eval_mollified(m: MollifiedIndicator, x: np.ndarray) -> np.ndarray:
-    return m(x)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ class LinearizeResult:
     poly: Polynomial          # multilinear polynomial over n*K variables
     K: int
     var_bound: float          # certified bound on Var[q~ - q] / Var[q~]
-    requested_K: int          # the uncapped value of K
-    index_map: dict[int, tuple[int, int]]  # flat index -> (original i, j)
 
 
 def _monomial_expansion_size(counts: dict[int, int], K: int) -> float:
@@ -57,9 +55,8 @@ def linearize(p: Polynomial, delta: float,
 
     d = p.degree()
     if d == 0:
-        return LinearizeResult(p.copy(), 1, 0.0, 1, {})
-    requested = replication_count(d, delta)
-    K = min(requested, k_cap)
+        return LinearizeResult(p.copy(), 1, 0.0)
+    K = min(replication_count(d, delta), k_cap)
 
     # substitution acts on the Hermite expansion: the constant mean term is
     # kept, and each Hermite monomial key carries weight orbit * entry
@@ -114,7 +111,4 @@ def linearize(p: Polynomial, delta: float,
             else:
                 out[key_t] = w
 
-    index_map = {flat_index(i, j, K): (i, j)
-                 for i in sorted(p.support_vars()) for j in range(1, K + 1)}
-    q = Polynomial(p.dim * K, out)
-    return LinearizeResult(q, K, d * d / K, requested, index_map)
+    return LinearizeResult(Polynomial(p.dim * K, out), K, d * d / K)

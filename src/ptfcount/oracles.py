@@ -76,27 +76,6 @@ def mc_gaussian(p: Polynomial, n_samples: int = 10 ** 6,
     return MCEstimate(phat, stderr, n_samples, seed)
 
 
-def mc_expectation(fn, n_vars: int, n_samples: int = 10 ** 6,
-                   seed: int = 0) -> MCEstimate:
-    """Monte Carlo estimate of E[fn(x)] for x ~ N(0,1)^{n_vars}.
-
-    fn maps an (m, n_vars) array to an (m,) array.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    tot = 0.0
-    tot_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK * 4, n_samples - done)
-        vals = np.asarray(fn(rng.standard_normal((m, n_vars))), dtype=float)
-        tot += float(vals.sum())
-        tot_sq += float((vals * vals).sum())
-        done += m
-    mean = tot / n_samples
-    var = max(tot_sq / n_samples - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / n_samples), n_samples, seed)
-
-
 def brute_lambda_max(f: SymTensor, iters: int = 2000,
                      tol: float = 1e-12) -> float:
     """Top flattening singular value by power iteration on the dense tensor.

@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-COEFF_TOL = 0.0  # exact arithmetic on dict merge; zeros are dropped
-
-
 @dataclass
 class Polynomial:
     dim: int

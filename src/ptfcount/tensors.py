@@ -230,11 +230,6 @@ def contract_sym(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
                              max(f.dim, g.dim))
 
 
-def blocks_norm_sq(blocks: BlockDict) -> float:
-    return sum(orbit_size(s) * orbit_size(t) * v * v
-               for (s, t), v in blocks.items())
-
-
 @dataclass
 class Flattening:
     """Orbit-compressed order-k flattening of a symmetric tensor.

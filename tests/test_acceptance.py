@@ -29,7 +29,7 @@ from ptfcount.decomposition import (
     decompose_max_iter,
     decompose_one_wiener,
     make_schedule,
-    regularize_one_wiener,
+    multi_regularize_one_wiener,
     var_of,
 )
 from ptfcount.multilinear import linearize, replication_count
@@ -237,7 +237,7 @@ def test_criterion_4_decomposition_contracts():
             ok, detail = False, f"coeff bound trial {trial}"
 
         schedule = make_schedule(eps, 1, DecompositionConfig(eta0=eta))
-        reg = regularize_one_wiener(f, schedule, eps)
+        reg = multi_regularize_one_wiener([f], schedule, eps).per_input[0]
         if reg.neg_var > eps + 1e-9:
             ok, detail = False, f"neg var trial {trial}"
         if reg.reg is not None and reg.reg_eig > reg.eta_next + 1e-9:

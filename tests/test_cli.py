@@ -48,6 +48,7 @@ def test_count_gaussian_report(tmp_path, capsys):
     assert report["command"] == "count-gaussian"
     assert 0.0 <= report["value"] <= 1.0
     assert "budget" in report and "params" in report
+    assert "threads" not in report["params"]
 
 
 def test_count_boolean_report(tmp_path, capsys):

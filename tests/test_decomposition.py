@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 from ptfcount.polynomials import Polynomial
-from ptfcount.chaos import covariance, single_level, to_chaos
+from ptfcount.chaos import to_chaos
 from ptfcount.decomposition import (
     DecompositionConfig,
     decompose_max_iter,
     decompose_one_wiener,
     derandomized_partition,
     make_schedule,
-    regularize_one_wiener,
+    multi_regularize_one_wiener,
+    partition_objective,
     regularize_poly,
     split_one_wiener,
     var_of,
+    _partition_terms,
 )
-from ptfcount.kwise import KWiseSpace
-from ptfcount.tensors import SymTensor, contract_sym, inner
+from ptfcount.tensors import SymTensor, inner
 
 from conftest import random_polynomial
 
@@ -77,22 +78,40 @@ def test_partition_anchor():
     beta = SymTensor(1, 2, {(2,): 1.0})
     a1, a2 = derandomized_partition(f, alpha, beta)
     assert 1 in a1 and 2 in a2
-    from ptfcount.decomposition import partition_objective
     assert partition_objective(f, alpha, beta, a1, a2) >= 0.5 - 1e-12
 
 
-def test_kwise_space_marginals():
-    # every pair of coordinates is uniform over the 4 sign patterns
-    space = KWiseSpace(5, 2)
-    counts = {}
-    for seed in range(space.size):
-        a = space.assignment(seed)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                key = (i, j, a[i], a[j])
-                counts[key] = counts.get(key, 0) + 1
-    vals = set(counts.values())
-    assert len(vals) == 1
+def _random_witnesses(rng, q, support, keys):
+    """f, alpha, beta over `support` with alpha/beta keys split off f's."""
+    q1 = int(rng.integers(1, q))
+    f, alpha, beta = {}, {}, {}
+    for _ in range(keys):
+        key = sorted(rng.choice(support, size=q).tolist())
+        f[tuple(key)] = float(rng.normal())
+        cut = rng.permutation(q)
+        alpha[tuple(sorted(key[i] for i in cut[:q1]))] = float(rng.normal())
+        beta[tuple(sorted(key[i] for i in cut[q1:]))] = float(rng.normal())
+    n = max(support)
+    return (SymTensor(q, n, f), SymTensor(q1, n, alpha),
+            SymTensor(q - q1, n, beta))
+
+
+def test_partition_meets_coin_flip_average(rng):
+    # conditional expectations never fall below the average over fair
+    # coin flips: sum of w 2^-|vars| over the objective's terms
+    sizes = [int(rng.integers(2, 17)) for _ in range(60)] + [24]
+    for nv in sizes:
+        q = int(rng.integers(2, 5))
+        support = rng.choice(np.arange(1, 41), size=nv, replace=False)
+        f, alpha, beta = _random_witnesses(rng, q, support,
+                                           keys=int(rng.integers(2, 30)))
+        terms = _partition_terms(f, alpha, beta)
+        average = sum(w * 0.5 ** len(vs | vt) for w, vs, vt in terms)
+        scale = sum(abs(w) for w, _, _ in terms)
+        a1, a2 = derandomized_partition(f, alpha, beta)
+        assert not (a1 & a2)
+        got = partition_objective(f, alpha, beta, a1, a2)
+        assert got >= average - 1e-12 * max(scale, 1.0)
 
 
 def test_decompose_reconstruction(rng):
@@ -120,22 +139,50 @@ def test_decompose_reconstruction(rng):
             + 1e-9
 
 
+def _assert_regularized(f, out, eps):
+    assert out.neg_var <= eps + 1e-9
+    if out.reg is not None:
+        assert out.reg_eig <= out.eta_next + 1e-9
+    # reconstruction through all emitted parts
+    acc = out.neg.copy()
+    for (a, _, _), u in zip(out.triples, out.products):
+        acc = acc.add(u, a)
+    if out.reg is not None:
+        acc = acc.add(out.reg, out.a_reg)
+    assert var_of(acc.add(f, -1.0)) <= 1e-9
+
+
 def test_regularize_exit_contract(rng):
     for _ in range(10):
         q = int(rng.integers(2, 4))
         f = _random_unit_tensor(rng, q, 8)
         schedule = make_schedule(0.01, 1, DecompositionConfig(eta0=0.3))
-        out = regularize_one_wiener(f, schedule, 0.01)
-        assert out.neg_var <= 0.01 + 1e-9
-        if out.reg is not None:
-            assert out.reg_eig <= out.eta_next + 1e-9
-        # reconstruction through all emitted parts
-        acc = out.neg.copy()
-        for (a, _, _), u in zip(out.triples, out.products):
-            acc = acc.add(u, a)
-        if out.reg is not None:
-            acc = acc.add(out.reg, out.a_reg)
-        assert var_of(acc.add(f, -1.0)) <= 1e-9
+        out = multi_regularize_one_wiener([f], schedule, 0.01).per_input[0]
+        _assert_regularized(f, out, 0.01)
+
+
+def _spiked_unit_tensor(rng, q, n, keys):
+    # one large key on top of a spread-out part: the first stage peels off
+    # products and the remainder goes on to the next eta
+    spike = _random_unit_tensor(rng, q, n, keys=1)
+    noise = _random_unit_tensor(rng, q, n, keys=keys)
+    w = float(rng.uniform(0.3, 0.9))
+    f = spike.scale(w).add(noise, math.sqrt(1.0 - w * w))
+    return f.scale(1.0 / math.sqrt(var_of(f)))
+
+
+def test_multi_regularize_shared_schedule(rng):
+    eps = 0.01
+    cases = [[_random_unit_tensor(rng, q, 8) for _ in range(r)]
+             for q, r in [(2, 2), (3, 3), (4, 2), (3, 2)]]
+    cases += [[_spiked_unit_tensor(rng, 2, 20, 40) for _ in range(r)]
+              for r in (2, 3)]
+    for fs in cases:
+        schedule = make_schedule(eps, len(fs), DecompositionConfig(eta0=0.3))
+        multi = multi_regularize_one_wiener(fs, schedule, eps)
+        assert len(multi.per_input) == len(fs)
+        for f, out in zip(fs, multi.per_input):
+            _assert_regularized(f, out, eps)
 
 
 def test_regularize_poly_x1x2():
