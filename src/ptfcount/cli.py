@@ -94,8 +94,7 @@ def _schedule_from(path: str | None) -> list[float] | None:
 def _configs(args) -> tuple[CountConfig, BooleanConfig]:
     dec = DecompositionConfig(mode=args.mode,
                               schedule=_schedule_from(args.schedule))
-    gcfg = CountConfig(decomp=dec, seed=args.seed,
-                       max_grid=args.max_grid, lin_k_cap=args.max_k)
+    gcfg = CountConfig(decomp=dec, seed=args.seed, lin_k_cap=args.max_k)
     bcfg = BooleanConfig(mode=args.mode, tau=args.tau, gaussian=gcfg)
     return gcfg, bcfg
 
@@ -103,7 +102,7 @@ def _configs(args) -> tuple[CountConfig, BooleanConfig]:
 def _params(args) -> dict:
     return {"eps": args.eps, "tau": args.tau, "mode": args.mode,
             "seed": args.seed, "max_k": args.max_k,
-            "max_grid": args.max_grid, "schedule": args.schedule}
+            "schedule": args.schedule}
 
 
 def _json_default(obj):
@@ -243,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-k", type=int, default=1_000_000,
                         help="replication cap for multilinearization")
-        sp.add_argument("--max-grid", type=int, default=2 * 10 ** 6,
-                        help="cap on total quadrature grid points")
         sp.add_argument("--schedule", default=None,
                         help="file with an explicit decreasing eta list")
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import k0
 from scipy.stats import norm
 
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
     CountConfig,
-    MollifiedIndicator,
     build_covariance,
     coefficient_grid,
     count_gaussian,
@@ -84,29 +85,38 @@ def test_build_covariance_levels():
     assert sig[2, 2] == pytest.approx(1.0)
 
 
-def test_mollifier_is_a_cdf_like_average():
-    # values lie in [0,1] and increase through a linear threshold
-    phi = Polynomial(1, {(1,): 1.0})
-    m = MollifiedIndicator(phi, 1, 16.0)
-    xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
-    vals = m(xs)
-    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert vals[0] < 0.05 and vals[-1] > 0.95
-    assert np.all(np.diff(vals) >= -1e-12)
-
-
 def test_integrate_gaussian_halves_symmetric():
     phi = Polynomial(1, {(1,): 1.0})
-    m = MollifiedIndicator(phi, 1, 16.0)
-    val, info = integrate_gaussian(m, np.array([[1.0]]), 0.05)
+    val, info = integrate_gaussian(phi, np.array([[1.0]]), 17, 0)
     assert val == pytest.approx(0.5, abs=0.005)
 
 
-def test_grid_cap_reports_requirement():
-    phi = Polynomial(2, {(1, 2): 1.0})
-    m = MollifiedIndicator(phi, 2, 32.0)
-    with pytest.raises(RuntimeError):
-        integrate_gaussian(m, np.eye(2), 0.05, max_grid=100)
+def test_integrate_gaussian_rank_one_closed_form():
+    # y1 + y2 - 1 with y1 = y2 ~ N(0, 1) is 2 t - 1: Pr = Phi(-1/2)
+    h = Polynomial(2, {(1,): 1.0, (2,): 1.0, (): -1.0})
+    val, info = integrate_gaussian(h, np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                   17, 0)
+    assert info["rank"] == 1
+    assert val == pytest.approx(norm.cdf(-0.5), abs=1e-12)
+    # y1 y2 + y2 - 1 with y2 = 2 y1 = 2 t is 2 t^2 + 2 t - 1, whose roots
+    # are (-1 -+ sqrt 3) / 2
+    h = Polynomial(2, {(1, 2): 1.0, (2,): 1.0, (): -1.0})
+    val, info = integrate_gaussian(h, np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   17, 0)
+    s3 = math.sqrt(3.0)
+    want = norm.cdf((-1.0 - s3) / 2.0) + norm.sf((-1.0 + s3) / 2.0)
+    assert info["rank"] == 1
+    assert val == pytest.approx(want, abs=1e-12)
+
+
+def test_two_inner_polynomials_sobol():
+    # x1 x2 has the density K_0(|s|) / pi, so
+    # Pr[x1 x2 + 0.3 >= 0] = 1/2 + (1/pi) int_0^0.3 K_0
+    want = 0.5 + quad(k0, 0.0, 0.3)[0] / math.pi
+    res = count_gaussian(Polynomial(2, {(1, 2): 1.0, (): 0.3}), 0.05)
+    assert res.method == "qmc"
+    assert res.diagnostics["r"] == 2
+    assert res.value == pytest.approx(want, abs=1e-4)
 
 
 def test_univariate_probability_square():
@@ -125,8 +135,9 @@ def test_one_inner_polynomial_closed_form():
     res = count_gaussian(p, 0.05)
     assert res.method == "closed_form"
     assert res.value == pytest.approx(want, abs=1e-9)
-    assert "mollification" not in res.budget
-    assert "mollifier_tail" not in res.budget
+    # h and Sigma are rounded only from two inner polynomials up
+    assert "coefficient_rounding" not in res.budget
+    assert "covariance_rounding" not in res.budget
     # the boolean counter hands the same polynomial over as one regular leaf
     res = count_boolean(p, 0.05)
     assert res.diagnostics["leaf_kinds"]["regular"] == 1
@@ -134,11 +145,12 @@ def test_one_inner_polynomial_closed_form():
 
 
 def test_qmc_fallback_deterministic():
-    p = Polynomial(4, {(1, 2, 3): 0.7, (1, 4): 1.0, (2,): 0.5})
-    r1 = count_gaussian(p, 0.05)
-    r2 = count_gaussian(p, 0.05)
-    assert r1.value == r2.value
-    assert r1.method == "qmc"
+    for p in [Polynomial(4, {(1, 2, 3): 0.7, (1, 4): 1.0, (2,): 0.5}),
+              Polynomial(2, {(1, 2): 1.0, (): 0.3})]:
+        r1 = count_gaussian(p, 0.05)
+        r2 = count_gaussian(p, 0.05)
+        assert r1.value == r2.value
+        assert r1.method == "qmc"
 
 
 def test_random_corpus_vs_mc(rng):
