@@ -120,9 +120,10 @@ def test_missing_file_exit_code(capsys):
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     # with the one-entry schedule 0.4 the regularizer runs out of eta values
-    # before this quadratic settles; the CLI maps that RuntimeError to 3
+    # before the quadratic chaos level of this cubic settles; the CLI maps
+    # that RuntimeError to 3
     f = tmp_path / "f.poly"
-    f.write_text("2 1 2\n1 3 4\n1 5 6\n1 1 3\n")
+    f.write_text("2 1 2\n1 3 4\n1 5 6\n1 1 3\n1 7 8 9\n")
     sched = tmp_path / "schedule.txt"
     sched.write_text("0.4\n")
     code, _ = run_cli(["count-gaussian", "--schedule", str(sched),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import k0
-from scipy.stats import norm
+from scipy.stats import chi2, ncx2, norm
 
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
@@ -13,6 +13,7 @@ from ptfcount.gaussian import (
     coefficient_grid,
     count_gaussian,
     integrate_gaussian,
+    quadratic_form,
     round_coefficients,
     round_psd,
     univariate_probability,
@@ -42,15 +43,18 @@ def test_product_anchor():
 
 
 def test_square_anchor():
-    # Pr[x^2 >= 1] = 2 (1 - Phi(1))
+    # Pr[x^2 >= 1] = 2 Phi(-1), exact at rank 1
     p = Polynomial(1, {(): -1.0, (1, 1): 1.0})
     res = count_gaussian(p, 0.05)
-    assert res.value == pytest.approx(0.3173, abs=0.05)
+    assert res.method == "quadratic_form"
+    assert res.value == pytest.approx(2.0 * norm.cdf(-1.0), abs=1e-9)
+    # from degree 3 up a repeated variable still goes through linearize
+    res = count_gaussian(Polynomial(2, {(1, 1, 2): 1.0, (): 0.2}), 0.05)
     assert "linearize_var_ratio" in res.budget
 
 
 def test_budget_keys_present():
-    res = count_gaussian(Polynomial(2, {(1, 2): 1.0, (): 0.3}), 0.05)
+    res = count_gaussian(Polynomial(3, {(1, 2, 3): 1.0, (): 0.3}), 0.05)
     assert "total" in res.budget
     assert "decomposition_var_gap" in res.budget
     assert res.budget["total"] >= 0.0
@@ -110,13 +114,13 @@ def test_integrate_gaussian_rank_one_closed_form():
 
 
 def test_two_inner_polynomials_sobol():
-    # x1 x2 has the density K_0(|s|) / pi, so
-    # Pr[x1 x2 + 0.3 >= 0] = 1/2 + (1/pi) int_0^0.3 K_0
+    # y1 y2 has the density K_0(|s|) / pi, so
+    # Pr[y1 y2 + 0.3 >= 0] = 1/2 + (1/pi) int_0^0.3 K_0
     want = 0.5 + quad(k0, 0.0, 0.3)[0] / math.pi
-    res = count_gaussian(Polynomial(2, {(1, 2): 1.0, (): 0.3}), 0.05)
-    assert res.method == "qmc"
-    assert res.diagnostics["r"] == 2
-    assert res.value == pytest.approx(want, abs=1e-4)
+    h = Polynomial(2, {(1, 2): 1.0, (): 0.3})
+    val, info = integrate_gaussian(h, np.eye(2), 17, 0)
+    assert info["rank"] == 2
+    assert val == pytest.approx(want, abs=1e-4)
 
 
 def test_univariate_probability_square():
@@ -127,30 +131,42 @@ def test_univariate_probability_square():
 
 
 def test_one_inner_polynomial_closed_form():
-    # x_1 + ... + x_n - t decomposes to one Gaussian inner polynomial
+    # x_1 + ... + x_n - t is a rank-1 quadratic form: Phi(-t / sqrt n)
     n, t = 1700, 17
     p = Polynomial(n, {(i,): 1.0 for i in range(1, n + 1)})
     p.coeffs[()] = -float(t)
     want = norm.cdf(-t / math.sqrt(n))
     res = count_gaussian(p, 0.05)
-    assert res.method == "closed_form"
+    assert res.method == "quadratic_form"
     assert res.value == pytest.approx(want, abs=1e-9)
-    # h and Sigma are rounded only from two inner polynomials up
-    assert "coefficient_rounding" not in res.budget
-    assert "covariance_rounding" not in res.budget
     # the boolean counter hands the same polynomial over as one regular leaf
     res = count_boolean(p, 0.05)
     assert res.diagnostics["leaf_kinds"]["regular"] == 1
     assert res.value == pytest.approx(want, abs=1e-9)
+    # 30 disjoint triple products minus 1 decompose to one eigenregular
+    # inner polynomial of variance 30, read off in closed form
+    k = 30
+    p = Polynomial(3 * k, {(3 * i + 1, 3 * i + 2, 3 * i + 3): 1.0
+                           for i in range(k)})
+    p.coeffs[()] = -1.0
+    res = count_gaussian(p, 0.05)
+    assert res.method == "closed_form"
+    assert res.diagnostics["r"] == 1
+    assert res.value == pytest.approx(norm.cdf(-1.0 / math.sqrt(k)),
+                                      abs=1e-9)
+    # h and Sigma are rounded only from two inner polynomials up
+    assert "coefficient_rounding" not in res.budget
+    assert "covariance_rounding" not in res.budget
 
 
 def test_qmc_fallback_deterministic():
     for p in [Polynomial(4, {(1, 2, 3): 0.7, (1, 4): 1.0, (2,): 0.5}),
-              Polynomial(2, {(1, 2): 1.0, (): 0.3})]:
+              Polynomial(3, {(1, 2, 3): 1.0, (1,): 1.0, (): 0.2})]:
         r1 = count_gaussian(p, 0.05)
         r2 = count_gaussian(p, 0.05)
         assert r1.value == r2.value
         assert r1.method == "qmc"
+        assert r1.diagnostics["r"] >= 2
 
 
 def test_random_corpus_vs_mc(rng):
@@ -160,3 +176,104 @@ def test_random_corpus_vs_mc(rng):
         res = count_gaussian(p, 0.05)
         mc = mc_gaussian(p, 300_000, seed=50 + i)
         assert abs(res.value - mc.value) <= 0.05 + 4 * mc.stderr
+
+
+def _sum_squares(n, shift=0.0, sign=1.0, centre=None):
+    """sign * sum_i (x_i + centre_i)^2 + shift."""
+    centre = centre or [0.0] * n
+    coeffs = {(): shift + sign * sum(a * a for a in centre)}
+    for i, a in enumerate(centre, start=1):
+        coeffs[(i, i)] = sign
+        if a:
+            coeffs[(i,)] = 2.0 * sign * a
+    return Polynomial(n, coeffs)
+
+
+def _product_plus_normal(t):
+    # Pr[x1 x2 + x3 + t >= 0] = E Phi(S + t) with S = x1 x2 of density
+    # K_0(|s|) / pi
+    f = lambda s: norm.cdf(s + t) * k0(abs(s)) / math.pi  # noqa: E731
+    return (quad(f, -np.inf, 0.0, epsabs=1e-13)[0]
+            + quad(f, 0.0, np.inf, epsabs=1e-13)[0])
+
+
+QUADRATIC_ANCHORS = [
+    # (name, polynomial, exact Pr[p >= 0])
+    ("x1 x2", Polynomial(2, {(1, 2): 1.0}), 0.5),
+    ("x1 x2 + 0.3", Polynomial(2, {(1, 2): 1.0, (): 0.3}),
+     0.5 + quad(k0, 0.0, 0.3, epsabs=1e-14)[0] / math.pi),
+    ("sum_4 x^2 - 5", _sum_squares(4, -5.0), chi2.sf(5.0, 4)),
+    ("3 - sum_4 x^2", _sum_squares(4, 3.0, sign=-1.0), chi2.cdf(3.0, 4)),
+    ("(x1+1)^2 - 2", _sum_squares(1, -2.0, centre=[1.0]),
+     ncx2.sf(2.0, 1, 1.0)),
+    ("(x1+1)^2 + (x2-0.5)^2 - 3", _sum_squares(2, -3.0, centre=[1.0, -0.5]),
+     ncx2.sf(3.0, 2, 1.25)),
+    ("2 - (x1+1)^2 - (x2+1)^2 - x3^2",
+     _sum_squares(3, 2.0, sign=-1.0, centre=[1.0, 1.0, 0.0]),
+     ncx2.cdf(2.0, 3, 2.0)),
+    ("x1 x2 + x3 + 0.3", Polynomial(3, {(1, 2): 1.0, (3,): 1.0, (): 0.3}),
+     _product_plus_normal(0.3)),
+]
+
+
+@pytest.mark.parametrize("name,p,want", QUADRATIC_ANCHORS,
+                         ids=[a[0] for a in QUADRATIC_ANCHORS])
+def test_quadratic_form_anchors(name, p, want):
+    eps = 0.05
+    res = count_gaussian(p, eps)
+    assert res.method == "quadratic_form"
+    bound = res.budget["quadratic_form"]
+    assert res.budget["total"] == bound
+    assert bound <= eps / 1000.0
+    # the certified bound covers the observed error
+    assert abs(res.value - want) <= bound + 1e-12
+    # and bit-identical on a repeat
+    assert count_gaussian(p, eps).value == res.value
+
+
+def test_quadratic_form_tight_target():
+    # eps = 1e-3 asks for a quadrature error of at most 1e-6
+    p = Polynomial(2, {(1, 2): 1.0, (): 0.3})
+    want = 0.5 + quad(k0, 0.0, 0.3, epsabs=1e-14)[0] / math.pi
+    res = count_gaussian(p, 1e-3)
+    assert res.method == "quadratic_form"
+    assert res.budget["quadratic_form"] <= 1e-6
+    assert res.value == pytest.approx(want, abs=1e-6)
+
+
+def test_quadratic_form_structure():
+    # x1 x2 has eigenvalues +-1/2; x3 lies along A's kernel and pools into
+    # s0 with the kernel part of b
+    p = Polynomial(3, {(1, 2): 1.0, (3,): 1.0, (1,): 0.5, (2,): 0.5})
+    c, lam, beta, s0 = quadratic_form(p)
+    assert c == 0.0
+    assert sorted(lam) == pytest.approx([-0.5, 0.5], abs=1e-15)
+    # b = (0.5, 0.5) lies on the +1/2 eigenvector (1, 1) / sqrt 2
+    assert sorted(np.abs(beta)) == pytest.approx([0.0, math.sqrt(0.5)],
+                                                 abs=1e-15)
+    assert s0 == pytest.approx(1.0, abs=1e-15)
+    res = count_gaussian(p, 0.05)
+    assert res.diagnostics["m"] == 2
+    assert res.diagnostics["s0"] == pytest.approx(1.0, abs=1e-15)
+    assert res.diagnostics["nodes"] > 0
+    # x_i^2 goes on A's diagonal, so a square with a cross term is rank 1:
+    # (x1 + x2)^2 - 1 = 2 y^2 - 1 with y ~ N(0, 1)
+    p = Polynomial(2, {(1, 1): 1.0, (1, 2): 2.0, (2, 2): 1.0, (): -1.0})
+    res = count_gaussian(p, 0.05)
+    assert res.diagnostics["m"] == 1
+    assert res.diagnostics["nodes"] == 0
+    assert res.value == pytest.approx(2.0 * norm.cdf(-math.sqrt(0.5)),
+                                      abs=1e-12)
+
+
+def test_quadratic_form_vs_mc(rng):
+    for i in range(12):
+        p = random_polynomial(rng, d=2, n=int(rng.integers(2, 11)),
+                              terms=int(rng.integers(2, 12)),
+                              multilinear=(i % 2 == 0))
+        res = count_gaussian(p, 0.05)
+        assert res.budget["quadratic_form"] <= 0.05 / 1000.0
+        mc = mc_gaussian(p, 200_000, seed=70 + i)
+        assert abs(res.value - mc.value) <= 0.05 + 4 * mc.stderr
+        # far tighter in practice: the answer is exact up to 5e-5
+        assert abs(res.value - mc.value) <= 5 * mc.stderr + 5e-5
