@@ -4,7 +4,7 @@ count_boolean computes Pr[p(x) >= 0] for x uniform on {-1,1}^n to additive
 accuracy eps.  The polynomial is first made multilinear exactly (x_i^2 = 1),
 then a regularity tree is grown: at each node the maximum-influence variable
 is restricted until the leaf polynomial is sign-decided, touches at most
-enum_vars = 16 variables, or is tau-regular (all influences small relative
+ENUM_VARS = 16 variables, or is tau-regular (all influences small relative
 to the variance, in which case the Gaussian counter applies by the
 invariance principle).  A small leaf is counted exactly: its values on all
 2^m points of its subcube are the fast Walsh-Hadamard transform of its
@@ -24,23 +24,20 @@ import numpy as np
 from .polynomials import Polynomial
 from .gaussian import CountConfig, CountResult, count_gaussian
 
+MAX_DEPTH = 16
+LEAF_CAP = 4096      # undecided nodes restricted before giving up
+ENUM_VARS = 16       # enumerate leaves touching at most this many variables
+
 
 @dataclass
 class BooleanConfig:
-    mode: str = "practical"      # "practical" | "certified"
     tau: float | None = None     # regularity threshold; None derives from eps
-    max_depth: int = 16
-    leaf_cap: int = 4096         # undecided nodes processed before giving up
-    decided_fail: float | None = None   # per-leaf tail mass; None -> eps/8
-    enum_vars: int = 16          # enumerate leaves touching <= this many vars
     gaussian: CountConfig = field(default_factory=CountConfig)
 
 
-def derive_tau(eps: float, d: int, mode: str) -> float:
-    if mode == "certified":
-        return (eps / (4.0 * max(d, 1))) ** (4 * d + 1)
-    # practical choice: invariance error behaves like d * sqrt(tau) on
-    # benign inputs, so aim tau ~ (eps / (2d))^2
+def derive_tau(eps: float, d: int) -> float:
+    # invariance error behaves like d * sqrt(tau) on benign inputs, so aim
+    # tau ~ (eps / (2d))^2
     return (eps / (2.0 * max(d, 1))) ** 2
 
 
@@ -116,8 +113,7 @@ def construct_tree(p: Polynomial, tau: float,
     if config is None:
         config = BooleanConfig()
     d = max(p.degree(), 1)
-    fail_p = config.decided_fail if config.decided_fail is not None \
-        else eps / 8.0
+    fail_p = eps / 8.0   # tail mass allowed per concentration-decided leaf
     chern = math.log(2.0 / fail_p) ** (d / 2.0)
 
     leaves: list[Leaf] = []
@@ -147,7 +143,7 @@ def construct_tree(p: Polynomial, tau: float,
             leaves.append(Leaf("decided", depth, mass,
                                1.0 if mean > 0.0 else 0.0, mass * fail_p))
             continue
-        if len(node.support_vars()) <= config.enum_vars:
+        if len(node.support_vars()) <= ENUM_VARS:
             leaves.append(Leaf("enumerated", depth, mass,
                                _enumerate_support(node), 0.0))
             continue
@@ -161,7 +157,7 @@ def construct_tree(p: Polynomial, tau: float,
                                mass * (inv_err + eps / 2.0)))
             continue
         processed += 1
-        if depth >= config.max_depth or processed > config.leaf_cap:
+        if depth >= MAX_DEPTH or processed > LEAF_CAP:
             leaves.append(Leaf("fail", depth, mass, 0.5, mass * 0.5))
             fail_mass += mass
             continue
@@ -179,8 +175,7 @@ def count_boolean(p: Polynomial, eps: float = 0.05,
     if d == 0:
         return CountResult(1.0 if work.constant_term() >= 0.0 else 0.0,
                            eps, "constant", {"total": 0.0}, {})
-    tau = config.tau if config.tau is not None \
-        else derive_tau(eps, d, config.mode)
+    tau = config.tau if config.tau is not None else derive_tau(eps, d)
     tree = construct_tree(work, tau, config, eps)
     value = sum(leaf.mass * leaf.value for leaf in tree.leaves)
     budget = {

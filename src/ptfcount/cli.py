@@ -18,7 +18,7 @@ from pathlib import Path
 from .polynomials import Polynomial
 from .chaos import to_chaos, clt_error_certificate
 from .tensors import lambda_max, eigenregularity
-from .decomposition import DecompositionConfig, regularize_poly
+from .decomposition import regularize_poly
 from .gaussian import CountConfig, count_gaussian
 from .boolean import BooleanConfig, count_boolean
 from .moments import absolute_moment, exact_raw_moment
@@ -92,17 +92,15 @@ def _schedule_from(path: str | None) -> list[float] | None:
 
 
 def _configs(args) -> tuple[CountConfig, BooleanConfig]:
-    dec = DecompositionConfig(mode=args.mode,
-                              schedule=_schedule_from(args.schedule))
-    gcfg = CountConfig(decomp=dec, seed=args.seed, lin_k_cap=args.max_k)
-    bcfg = BooleanConfig(mode=args.mode, tau=args.tau, gaussian=gcfg)
+    gcfg = CountConfig(schedule=_schedule_from(args.schedule),
+                       seed=args.seed, lin_k_cap=args.max_k)
+    bcfg = BooleanConfig(tau=args.tau, gaussian=gcfg)
     return gcfg, bcfg
 
 
 def _params(args) -> dict:
-    return {"eps": args.eps, "tau": args.tau, "mode": args.mode,
-            "seed": args.seed, "max_k": args.max_k,
-            "schedule": args.schedule}
+    return {"eps": args.eps, "tau": args.tau, "seed": args.seed,
+            "max_k": args.max_k, "schedule": args.schedule}
 
 
 def _json_default(obj):
@@ -144,9 +142,7 @@ def _cmd_decompose(args) -> int:
         raise InputError("constant polynomial has no decomposition")
     dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)),
                           args.tau if args.tau is not None else args.eps,
-                          DecompositionConfig(
-                              mode=args.mode,
-                              schedule=_schedule_from(args.schedule)))
+                          _schedule_from(args.schedule))
     _emit({"command": "decompose",
            "num_inner": len(dec.inner),
            "inner_levels": [ip.level for ip in dec.inner],
@@ -237,8 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--eps", type=float, default=0.05)
         sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--mode", choices=["practical", "certified"],
-                        default="practical")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--max-k", type=int, default=1_000_000,
                         help="replication cap for multilinearization")

@@ -37,16 +37,11 @@ from .chaos import ChaosDecomposition, single_level
 # for decompose_one_wiener.
 M_SLACK = 8
 
-# The default schedule shrinks eta by ETA_RATIO per step down to ETA_MIN.
+# The default schedule starts at ETA0 and shrinks eta by ETA_RATIO per step
+# down to ETA_MIN.
+ETA0 = 0.2
 ETA_RATIO = 0.5
 ETA_MIN = 0.05
-
-
-@dataclass
-class DecompositionConfig:
-    mode: str = "practical"   # "practical" | "certified"
-    eta0: float = 0.2
-    schedule: list[float] | None = None  # explicit user schedule wins
 
 
 def var_of(t: SymTensor) -> float:
@@ -66,19 +61,16 @@ class InnerPoly:
         return eigenregularity(self.tensor)
 
 
-def make_schedule(eps: float, r: int,
-                  config: DecompositionConfig) -> list[float]:
+def make_schedule(eps: float, r: int, eta0: float = ETA0) -> list[float]:
     """Decreasing eigenregularity thresholds eta_1 >= ... >= eta_K.
 
     K is large enough that the variance decay (1-eps)^i forces an exit
     before exhaustion; after ETA_MIN is reached the schedule stays flat.
     """
-    if config.schedule is not None:
-        return list(config.schedule)
     K = max(4, math.ceil(max(r, 1) / eps * math.log(1.0 / eps)) + 1)
     K = min(K, 4000)
     out = []
-    eta = config.eta0
+    eta = eta0
     for _ in range(K):
         out.append(eta)
         eta = max(ETA_MIN, eta * ETA_RATIO)
@@ -425,7 +417,7 @@ class MRMWResult:
 
 def multi_regularize_many_wieners(
         inputs: list[ChaosDecomposition], d: int, tau: float,
-        config: DecompositionConfig | None = None,
+        schedule: list[float] | None = None,
         pool: ArgPool | None = None) -> MRMWResult:
     """Decompose every level of every input into products of inner polys.
 
@@ -433,10 +425,9 @@ def multi_regularize_many_wieners(
     variance.  Levels 0 and 1 pass through unchanged; each level q >= 2 is
     rewritten as a multilinear combination of products of unit-variance
     inner polynomials that are either degree <= 1 or eigenregular, plus a
-    discarded part of variance at most ~tau (reported exactly).
+    discarded part of variance at most ~tau (reported exactly).  An explicit
+    decreasing eta schedule replaces make_schedule's at every level.
     """
-    if config is None:
-        config = DecompositionConfig()
     if pool is None:
         pool = ArgPool()
     k = len(inputs)
@@ -483,8 +474,9 @@ def multi_regularize_many_wieners(
 
     multi = None
     if top_f:
-        schedule = make_schedule(eps, len(top_f), config)
-        multi = multi_regularize_one_wiener(top_f, schedule, eps)
+        etas = schedule if schedule is not None \
+            else make_schedule(eps, len(top_f))
+        multi = multi_regularize_one_wiener(top_f, etas, eps)
         diagnostics["t"] = multi.t
         diagnostics["eta_next"] = multi.eta_next
 
@@ -528,7 +520,7 @@ def multi_regularize_many_wieners(
                         rec_inputs.append(single_level(ip.tensor))
         tau_rec = tau / (8.0 * max(1.0, total_abs) ** 2)
         sub = multi_regularize_many_wieners(rec_inputs, d - 1, tau_rec,
-                                            config, pool)
+                                            schedule, pool)
         diagnostics["recursion"] = sub.diagnostics
         # lower levels of the originals come straight from the recursion
         for s in range(k):
@@ -605,22 +597,15 @@ def reconstruct(h: Polynomial,
     return out
 
 
-def regularize_poly(p, tau: float,
-                    config: DecompositionConfig | None = None
+def regularize_poly(p, tau: float, schedule: list[float] | None = None
                     ) -> DecompositionResult:
     """Rewrite a polynomial over inner polynomials that are each exactly
     Gaussian (degree <= 1) or eigenregular, discarding only ~tau variance.
     """
     from .chaos import to_chaos
-    if config is None:
-        config = DecompositionConfig()
     chaos = to_chaos(p) if isinstance(p, Polynomial) else p
     d = chaos.degree()
     mu = chaos.mean()
-    if config.mode == "certified" and d >= 1:
-        tau_inner = (1.0 / d) * (tau / d) ** (3 * d)
-    else:
-        tau_inner = tau
 
     if d == 0:
         h = Polynomial(0, {(): mu} if mu != 0.0 else {})
@@ -636,7 +621,7 @@ def regularize_poly(p, tau: float,
         if vq > 0.0:
             scales[q] = math.sqrt(vq)
             normed.set_level(q, fq.scale(1.0 / math.sqrt(vq)))
-    res = multi_regularize_many_wieners([normed], d, tau_inner, config)
+    res = multi_regularize_many_wieners([normed], d, tau, schedule)
 
     h_global = Polynomial(0, {(): mu} if mu != 0.0 else {})
     for q, sc in scales.items():
@@ -660,6 +645,5 @@ def regularize_poly(p, tau: float,
         "coeff": res.coeff,
         "eta_next": res.eta_next,
         "neg_var": res.neg_var[0],
-        "tau_inner": tau_inner,
     })
     return DecompositionResult(h, inner, var_gap, eigen, approx, diag)

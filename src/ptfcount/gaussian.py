@@ -18,27 +18,28 @@ half-integer nodes (k + 1/2) Delta.  Its two errors have explicit bounds:
 discretisation is at most Pr[p <= -2 pi / Delta] + Pr[p >= 2 pi / Delta],
 bounded by Chernoff, and truncation at U is at most (1/pi) int_U^inf
 |phi(u)| / u du.  Delta and U are chosen so that their sum, reported as the
-certified budget entry "quadratic_form", is at most eps / 1000.  Nothing is
-linearized, decomposed or rounded on this route.
+certified budget entry "quadratic_form", is at most eps / 1000.  When a
+Chernoff bound on the tail at 0 opposite the constant's sign is already
+that small, the constant's sign is returned with that bound instead.
+Nothing is linearized, decomposed or rounded on this route.
 
 From degree 3 up the paper's pipeline runs: make the polynomial
 multilinear (linearize), rewrite it as an outer polynomial h over a few
 inner polynomials that are each exactly Gaussian or eigenregular
 (regularize_poly), and replace the joint law of the inner polynomials by
 N(0, Sigma) with Sigma their exact covariance matrix.
-With two or more inner polynomials h's coefficients are rounded and Sigma
-is rounded to a rational PSD matrix.  One integrator, integrate_gaussian,
-then gives Pr[h(Y) >= 0] for Y ~ N(0, Sigma): when Sigma has rank <= 1, h
-is univariate along its one direction and the answer is read off in closed
-form from the real roots and the normal CDF; from rank 2 up the sharp
-indicator of {h >= 0} is averaged over a fixed-seed scrambled Sobol
-sequence, and reported as such.
+With two or more inner polynomials Sigma is rounded to a rational PSD
+matrix.  One integrator, integrate_gaussian, then gives Pr[h(Y) >= 0] for
+Y ~ N(0, Sigma): when Sigma has rank <= 1, h is univariate along its one
+direction and the answer is read off in closed form from the real roots
+and the normal CDF; from rank 2 up the sharp indicator of {h >= 0} is
+averaged over a fixed-seed scrambled Sobol sequence, and reported as such.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +48,7 @@ import scipy.stats
 
 from .polynomials import Polynomial
 from .chaos import to_chaos, clt_error_certificate, single_level
-from .decomposition import DecompositionConfig, InnerPoly, regularize_poly
+from .decomposition import InnerPoly, regularize_poly
 from .multilinear import linearize
 from .tensors import inner as tensor_inner
 
@@ -57,6 +58,11 @@ from .tensors import inner as tensor_inner
 # * r, so clt_certificate (alpha_dd = 4 c^2) and covariance_rounding read
 # c.  The integrator itself uses the sharp indicator.
 SMOOTHING_PER_INNER = 16.0
+
+# From rank 2 up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol points.
+QMC_LOG2_N = 17
+# Covariance rounding resolution of round_psd.
+PSD_DELTA = 1e-12
 
 # Degree <= 2 (count_quadratic): the quadrature's certified error target is
 # eps * QUADRATIC_TARGET, split evenly between discretisation and truncation.
@@ -80,14 +86,8 @@ _TRUNCATION_U = 2.0 ** (np.arange(-16, 161) / 4.0)
 
 @dataclass
 class CountConfig:
-    # linearization (practical caps; the certified K formula is astronomical)
-    lin_term_cap: int = 4000
-    lin_k_cap: int = 1_000_000
-    # decomposition
-    decomp: DecompositionConfig = field(default_factory=DecompositionConfig)
-    # integration: closed form at rank(Sigma) <= 1, Sobol from rank 2 up
-    qmc_log2_n: int = 17                 # Sobol sample budget 2^k
-    psd_delta: float = 1e-12              # covariance rounding resolution
+    lin_k_cap: int = 1_000_000           # linearize's replication cap
+    schedule: list[float] | None = None  # explicit decreasing eta schedule
     seed: int = 0                        # Sobol scramble seed
 
 
@@ -101,20 +101,8 @@ class CountResult:
 
 
 # ---------------------------------------------------------------------------
-# outer coefficient rounding and covariance rounding
+# covariance and its rounding
 # ---------------------------------------------------------------------------
-
-def coefficient_grid(eps: float, d: int, r: int) -> float:
-    return math.sqrt((eps / d) ** (3 * d) / (d * max(r, 1) ** d))
-
-
-def round_coefficients(h: Polynomial, eps: float, d: int,
-                       r: int) -> tuple[Polynomial, float]:
-    grid = coefficient_grid(eps, d, r)
-    out = {k: round(v / grid) * grid for k, v in h.coeffs.items()}
-    out = {k: v for k, v in out.items() if v != 0.0}
-    return Polynomial(h.dim, out), grid
-
 
 def build_covariance(inner_polys: list[InnerPoly]) -> np.ndarray:
     r = len(inner_polys)
@@ -276,9 +264,10 @@ def _log_mgf(s: np.ndarray, c: float, lam: np.ndarray, beta: np.ndarray,
 
 
 def _chernoff_span(c: float, lam: np.ndarray, beta: np.ndarray, s0: float,
-                   tail: float) -> tuple[float, float]:
-    """(T, bound): a T with Pr[Q >= T] and Pr[Q <= -T] each at most `tail`
-    by Chernoff, and the sum of the two Chernoff bounds at that T.
+                   tail: float) -> tuple[float, float, list[float]]:
+    """(T, bound, at_zero): a T with Pr[Q >= T] and Pr[Q <= -T] each at most
+    `tail` by Chernoff, the sum of the two Chernoff bounds at that T, and
+    the Chernoff bounds on Pr[Q >= 0] and Pr[Q <= 0].
 
     For each s of one fixed grid, Pr[Q >= T] <= exp(K(s) - s T) with K the
     log-MGF, so T = min_s (K(s) - log tail) / s meets the target; -Q gives
@@ -294,7 +283,8 @@ def _chernoff_span(c: float, lam: np.ndarray, beta: np.ndarray, s0: float,
         sides.append((s, _log_mgf(sign * s, c, lam, beta, s0)))
     span = max(float(np.min((k - math.log(tail)) / s)) for s, k in sides)
     bound = sum(math.exp(float(np.min(k - s * span))) for s, k in sides)
-    return span, bound
+    at_zero = [math.exp(float(np.min(k))) for _, k in sides]
+    return span, bound, at_zero
 
 
 def _truncation_bound(cut: np.ndarray, lam: np.ndarray, beta: np.ndarray,
@@ -354,6 +344,8 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
     from rank 2 up Davies's rule gives the answer with the certified error
     budget["quadratic_form"] <= eps * QUADRATIC_TARGET (up to floating-point
     rounding; past NODE_CAP nodes the bound reached is reported instead).
+    From rank 2 up, when the Chernoff bound on Pr[sign(p) != sign(c)] is
+    already below that target, the sign of c is returned with that bound.
     """
     c, lam, beta, s0 = quadratic_form(p)
     m = int(lam.size)
@@ -372,7 +364,13 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
                           + float(np.sum(beta * beta)) + s0 * s0)
         c, lam, beta, s0 = c / scale, lam / scale, beta / scale, s0 / scale
         half = 0.5 * eps * QUADRATIC_TARGET
-        span, disc = _chernoff_span(c, lam, beta, s0, 0.5 * half)
+        span, disc, at_zero = _chernoff_span(c, lam, beta, s0, 0.5 * half)
+        # the sign of c is wrong with at most the tail at 0 opposite it
+        tail = at_zero[1] if c > 0.0 else at_zero[0]
+        if c != 0.0 and tail <= eps * QUADRATIC_TARGET:
+            return CountResult(1.0 if c > 0.0 else 0.0, eps,
+                               "quadratic_form",
+                               {"quadratic_form": tail, "total": tail}, diag)
         step = 2.0 * math.pi / span
         trunc = _truncation_bound(_TRUNCATION_U, lam, beta, s0)
         meets = np.flatnonzero(trunc <= half)
@@ -414,8 +412,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
 
     work = p
     if any(len(set(k)) != len(k) for k in p.coeffs):
-        lin = linearize(p, delta=eps, k_cap=config.lin_k_cap,
-                        term_cap=config.lin_term_cap)
+        lin = linearize(p, delta=eps, k_cap=config.lin_k_cap)
         work = lin.poly
         budget["linearize_var_ratio"] = lin.var_bound
         diag["linearize_K"] = lin.K
@@ -427,7 +424,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
                                budget, diag)
 
     normal = chaos.scale(1.0 / math.sqrt(var))
-    dec = regularize_poly(normal, eps, config.decomp)
+    dec = regularize_poly(normal, eps, config.schedule)
     r = len(dec.inner)
     diag["r"] = r
     diag["inner_levels"] = [ip.level for ip in dec.inner]
@@ -443,21 +440,14 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
         return CountResult(val, eps, "constant", budget, diag)
 
     c = SMOOTHING_PER_INNER * r
-    h, sigma = dec.h, build_covariance(dec.inner)
+    sigma = build_covariance(dec.inner)
     if r >= 2:
-        h, grid = round_coefficients(dec.h, eps, d, r)
-        if not any(k for k in h.coeffs):  # everything rounded away
-            h = dec.h
-            grid = 0.0
-        budget["coefficient_rounding"] = grid * len(dec.h.coeffs)
-
         snorm = float(np.linalg.norm(sigma, 2))
-        sigma, psd_info = round_psd(sigma, config.psd_delta)
+        sigma, psd_info = round_psd(sigma, PSD_DELTA)
         diag["psd"] = psd_info
-        delta = config.psd_delta
         budget["covariance_rounding"] = (2.0 * c * r
-                                         * (delta + 3.0 * math.sqrt(
-                                             delta * snorm)))
+                                         * (PSD_DELTA + 3.0 * math.sqrt(
+                                             PSD_DELTA * snorm)))
     if any(ip.level >= 2 for ip in dec.inner):
         cost = sum(len(ip.tensor.coeffs) for ip in dec.inner) ** 2
         if cost <= 4 * 10 ** 6:
@@ -470,7 +460,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
         worst = max(dec.eigen) if dec.eigen else 0.0
         budget["clt_heuristic"] = math.sqrt(worst)
 
-    val, qinfo = integrate_gaussian(h, sigma, config.qmc_log2_n, config.seed)
+    val, qinfo = integrate_gaussian(dec.h, sigma, QMC_LOG2_N, config.seed)
     diag["quadrature"] = qinfo
     if qinfo["rank"] <= 1:
         method = "closed_form"

@@ -21,7 +21,7 @@ from .tensors import orbit_size
 # With replication K the substituted polynomial has up to ~K^d/prod(alpha!)
 # monomials per input monomial; the default cap keeps that expansion sane.
 DEFAULT_K_CAP = 1_000_000
-DEFAULT_TERM_CAP = 500_000
+DEFAULT_TERM_CAP = 4000
 
 
 def replication_count(d: int, delta: float) -> int:

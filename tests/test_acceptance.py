@@ -25,7 +25,6 @@ from ptfcount.chaos import (
 )
 from ptfcount.tensors import SymTensor, eigenregularity, lambda_max
 from ptfcount.decomposition import (
-    DecompositionConfig,
     decompose_max_iter,
     decompose_one_wiener,
     make_schedule,
@@ -34,7 +33,7 @@ from ptfcount.decomposition import (
 )
 from ptfcount.multilinear import linearize, replication_count
 from ptfcount.gaussian import count_gaussian
-from ptfcount.boolean import BooleanConfig, count_boolean
+from ptfcount.boolean import count_boolean
 from ptfcount.moments import absolute_moment, exact_raw_moment
 from ptfcount.oracles import (
     brute_lambda_max,
@@ -236,7 +235,7 @@ def test_criterion_4_decomposition_contracts():
                 + 1e-9:
             ok, detail = False, f"coeff bound trial {trial}"
 
-        schedule = make_schedule(eps, 1, DecompositionConfig(eta0=eta))
+        schedule = make_schedule(eps, 1, eta0=eta)
         reg = multi_regularize_one_wiener([f], schedule, eps).per_input[0]
         if reg.neg_var > eps + 1e-9:
             ok, detail = False, f"neg var trial {trial}"
@@ -317,13 +316,12 @@ def test_criterion_7_moments():
         n = int(rng.integers(8, 17))
         d = [1, 2, 3][trial % 3]
         p = random_polynomial(rng, d=d, n=n, terms=7, multilinear=True)
-        cfg = BooleanConfig(enum_vars=16)
-        even = absolute_moment(p, 2, 0.05, cfg)
+        even = absolute_moment(p, 2, 0.05)
         want_even = exact_raw_moment(p, 2)
         if abs(even.value - want_even) > 0.05 * abs(want_even):
             failures.append((trial, "even", even.value, want_even))
         for k in (1, 3):
-            odd = absolute_moment(p, k, 0.05, cfg)
+            odd = absolute_moment(p, k, 0.05)
             want = enum_hypercube_expectation(
                 p, fn=lambda v, k=k: np.abs(v) ** k)
             if abs(odd.value - want) > 0.05 * abs(want):

@@ -3,7 +3,6 @@ import pytest
 
 from ptfcount.polynomials import Polynomial
 from ptfcount.boolean import (
-    BooleanConfig,
     _enumerate_support,
     construct_tree,
     count_boolean,
@@ -55,22 +54,22 @@ def test_constant():
 def test_tree_decided_leaf():
     # large constant dominates: single decided leaf
     p = Polynomial(4, {(): 10.0, (1, 2): 1.0, (3, 4): 1.0})
-    tree = construct_tree(p, derive_tau(0.05, 2, "practical"))
+    tree = construct_tree(p, derive_tau(0.05, 2))
     assert len(tree.leaves) == 1
     assert tree.leaves[0].kind == "decided"
     assert tree.leaves[0].value == 1.0
 
 
 def test_fail_mass_reported():
+    # a random n = 30 chain sum g_i x_i + sum g'_i x_i x_{i+1} outgrows the
+    # leaf cap before its leaves are small or regular
     rng = np.random.default_rng(0)
-    coeffs = {}
-    for _ in range(40):
-        key = tuple(sorted(rng.choice(np.arange(1, 19), size=2,
-                                      replace=False).tolist()))
-        coeffs[key] = coeffs.get(key, 0.0) + float(rng.normal())
-    p = Polynomial(18, coeffs)
-    cfg = BooleanConfig(max_depth=2, enum_vars=2)
-    res = count_boolean(p, 0.05, cfg)
+    n = 30
+    g = rng.normal(size=n)
+    g2 = rng.normal(size=n - 1)
+    coeffs = {(i,): float(g[i - 1]) for i in range(1, n + 1)}
+    coeffs.update({(i, i + 1): float(g2[i - 1]) for i in range(1, n)})
+    res = count_boolean(Polynomial(n, coeffs), 0.05)
     assert res.budget["fail_mass"] > 0.0
     assert res.budget["total"] >= res.budget["fail_mass"]
 

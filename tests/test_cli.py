@@ -50,6 +50,7 @@ def test_count_gaussian_report(tmp_path, capsys):
     assert "budget" in report and "params" in report
     assert "threads" not in report["params"]
     assert "max_grid" not in report["params"]
+    assert "mode" not in report["params"]
 
 
 def test_count_boolean_report(tmp_path, capsys):

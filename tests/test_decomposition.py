@@ -6,7 +6,6 @@ import pytest
 from ptfcount.polynomials import Polynomial
 from ptfcount.chaos import to_chaos
 from ptfcount.decomposition import (
-    DecompositionConfig,
     decompose_max_iter,
     decompose_one_wiener,
     derandomized_partition,
@@ -156,7 +155,7 @@ def test_regularize_exit_contract(rng):
     for _ in range(10):
         q = int(rng.integers(2, 4))
         f = _random_unit_tensor(rng, q, 8)
-        schedule = make_schedule(0.01, 1, DecompositionConfig(eta0=0.3))
+        schedule = make_schedule(0.01, 1, eta0=0.3)
         out = multi_regularize_one_wiener([f], schedule, 0.01).per_input[0]
         _assert_regularized(f, out, 0.01)
 
@@ -178,7 +177,7 @@ def test_multi_regularize_shared_schedule(rng):
     cases += [[_spiked_unit_tensor(rng, 2, 20, 40) for _ in range(r)]
               for r in (2, 3)]
     for fs in cases:
-        schedule = make_schedule(eps, len(fs), DecompositionConfig(eta0=0.3))
+        schedule = make_schedule(eps, len(fs), eta0=0.3)
         multi = multi_regularize_one_wiener(fs, schedule, eps)
         assert len(multi.per_input) == len(fs)
         for f, out in zip(fs, multi.per_input):
@@ -187,7 +186,7 @@ def test_multi_regularize_shared_schedule(rng):
 
 def test_regularize_poly_x1x2():
     chaos = to_chaos(Polynomial(2, {(1, 2): 1.0}))
-    dec = regularize_poly(chaos, 0.05, DecompositionConfig())
+    dec = regularize_poly(chaos, 0.05)
     assert dec.var_gap <= 1e-12
     assert sorted(ip.level for ip in dec.inner) == [1, 1]
     # outer polynomial is the product of its two arguments plus scaling
@@ -196,7 +195,7 @@ def test_regularize_poly_x1x2():
 
 def test_regularize_poly_x1x2x3_exact():
     chaos = to_chaos(Polynomial(3, {(1, 2, 3): 1.0}))
-    dec = regularize_poly(chaos, 0.05, DecompositionConfig())
+    dec = regularize_poly(chaos, 0.05)
     assert dec.var_gap <= 1e-9
     assert all(e <= 0.5 for e in dec.eigen)
 
@@ -206,8 +205,7 @@ def test_regularize_poly_var_gap_bound(rng):
         p = random_polynomial(rng, d=3, n=6, multilinear=True)
         chaos = to_chaos(p)
         var = chaos.variance()
-        dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)), 0.05,
-                              DecompositionConfig())
+        dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)), 0.05)
         assert dec.var_gap <= 0.05 + 1e-9
         for ip, e in zip(dec.inner, dec.eigen):
             assert var_of(ip.tensor) == pytest.approx(1.0, rel=1e-9)
@@ -217,7 +215,7 @@ def test_regularize_poly_var_gap_bound(rng):
 
 def test_degree_one_passthrough():
     chaos = to_chaos(Polynomial(2, {(1,): 1.0}))
-    dec = regularize_poly(chaos, 0.05, DecompositionConfig())
+    dec = regularize_poly(chaos, 0.05)
     assert len(dec.inner) == 1
     assert dec.inner[0].level == 1
     assert dec.eigen == [0.0]

@@ -10,11 +10,9 @@ from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
     CountConfig,
     build_covariance,
-    coefficient_grid,
     count_gaussian,
     integrate_gaussian,
     quadratic_form,
-    round_coefficients,
     round_psd,
     univariate_probability,
 )
@@ -68,14 +66,6 @@ def test_round_psd_properties(rng):
         w = np.linalg.eigvalsh(rounded)
         assert w[0] >= -1e-12
         assert np.max(np.abs(rounded - sigma)) <= 1e-11 + info["diag_shift"]
-
-
-def test_round_coefficients_small_grid():
-    h = Polynomial(2, {(1,): 0.123456789, (1, 2): -0.5})
-    out, grid = round_coefficients(h, 0.05, 2, 2)
-    assert grid == pytest.approx(coefficient_grid(0.05, 2, 2))
-    for k, v in out.coeffs.items():
-        assert abs(v - h.coeffs[k]) <= grid / 2 + 1e-15
 
 
 def test_build_covariance_levels():
@@ -154,8 +144,7 @@ def test_one_inner_polynomial_closed_form():
     assert res.diagnostics["r"] == 1
     assert res.value == pytest.approx(norm.cdf(-1.0 / math.sqrt(k)),
                                       abs=1e-9)
-    # h and Sigma are rounded only from two inner polynomials up
-    assert "coefficient_rounding" not in res.budget
+    # Sigma is rounded only from two inner polynomials up
     assert "covariance_rounding" not in res.budget
 
 
@@ -213,6 +202,9 @@ QUADRATIC_ANCHORS = [
      ncx2.cdf(2.0, 3, 2.0)),
     ("x1 x2 + x3 + 0.3", Polynomial(3, {(1, 2): 1.0, (3,): 1.0, (): 0.3}),
      _product_plus_normal(0.3)),
+    # a far-off constant: the Chernoff tail at 0 settles the sign
+    ("x1 x2 + 100", Polynomial(2, {(1, 2): 1.0, (): 100.0}), 1.0),
+    ("x1 x2 - 100", Polynomial(2, {(1, 2): 1.0, (): -100.0}), 0.0),
 ]
 
 
@@ -239,6 +231,12 @@ def test_quadratic_form_tight_target():
     assert res.method == "quadratic_form"
     assert res.budget["quadratic_form"] <= 1e-6
     assert res.value == pytest.approx(want, abs=1e-6)
+    # a far-off constant meets the target without the quadrature
+    for c, want in [(100.0, 1.0), (-100.0, 0.0)]:
+        res = count_gaussian(Polynomial(2, {(1, 2): 1.0, (): c}), 1e-3)
+        assert res.budget["quadratic_form"] <= 1e-6
+        assert res.diagnostics["nodes"] == 0
+        assert res.value == want
 
 
 def test_quadratic_form_structure():
