@@ -17,22 +17,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomials import Polynomial
-from .gaussian import CountConfig, CountResult, count_gaussian
+from .gaussian import CountResult, count_gaussian
 
 MAX_DEPTH = 16
 LEAF_CAP = 4096      # undecided nodes restricted before giving up
 ENUM_VARS = 16       # enumerate leaves touching at most this many variables
-
-
-@dataclass
-class BooleanConfig:
-    tau: float | None = None     # regularity threshold; None derives from eps
-    gaussian: CountConfig = field(default_factory=CountConfig)
 
 
 def derive_tau(eps: float, d: int) -> float:
@@ -41,12 +35,9 @@ def derive_tau(eps: float, d: int) -> float:
     return (eps / (2.0 * max(d, 1))) ** 2
 
 
-def influence(p: Polynomial, i: int) -> float:
-    """Inf_i = sum of squared coefficients of monomials containing x_i."""
-    return sum(c * c for k, c in p.coeffs.items() if i in k)
-
-
 def influences(p: Polynomial) -> dict[int, float]:
+    """Inf_i = sum of squared coefficients of monomials containing x_i, for
+    every variable p touches."""
     out: dict[int, float] = {}
     for k, c in p.coeffs.items():
         for i in set(k):
@@ -107,11 +98,8 @@ def _variance(p: Polynomial) -> float:
 
 
 def construct_tree(p: Polynomial, tau: float,
-                   config: BooleanConfig | None = None,
                    eps: float = 0.05) -> RegularityTree:
     """Grow the restriction tree for a multilinear hypercube polynomial."""
-    if config is None:
-        config = BooleanConfig()
     d = max(p.degree(), 1)
     fail_p = eps / 8.0   # tail mass allowed per concentration-decided leaf
     chern = math.log(2.0 / fail_p) ** (d / 2.0)
@@ -150,7 +138,7 @@ def construct_tree(p: Polynomial, tau: float,
         infs = influences(node)
         top_var, top_inf = max(infs.items(), key=lambda kv: (kv[1], -kv[0]))
         if top_inf <= tau * var:
-            res = count_gaussian(node, eps / 2.0, config.gaussian)
+            res = count_gaussian(node, eps / 2.0)
             n_gauss += 1
             inv_err = min(1.0, d * math.sqrt(tau))
             leaves.append(Leaf("regular", depth, mass, res.value,
@@ -166,17 +154,14 @@ def construct_tree(p: Polynomial, tau: float,
     return RegularityTree(leaves, max_depth_seen, fail_mass, n_gauss)
 
 
-def count_boolean(p: Polynomial, eps: float = 0.05,
-                  config: BooleanConfig | None = None) -> CountResult:
-    if config is None:
-        config = BooleanConfig()
+def count_boolean(p: Polynomial, eps: float = 0.05) -> CountResult:
     work = p.hypercube_reduce()
     d = work.degree()
     if d == 0:
         return CountResult(1.0 if work.constant_term() >= 0.0 else 0.0,
                            eps, "constant", {"total": 0.0}, {})
-    tau = config.tau if config.tau is not None else derive_tau(eps, d)
-    tree = construct_tree(work, tau, config, eps)
+    tau = derive_tau(eps, d)
+    tree = construct_tree(work, tau, eps)
     value = sum(leaf.mass * leaf.value for leaf in tree.leaves)
     budget = {
         "fail_mass": tree.fail_mass,

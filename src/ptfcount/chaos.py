@@ -268,7 +268,6 @@ class CltCertificate:
     Y_ab = <D F_a, -D L^{-1} F_b>.
     """
     bound: float
-    covariance: np.ndarray
     y_variances: np.ndarray
     alpha_dd: float
 
@@ -276,11 +275,9 @@ class CltCertificate:
 def clt_error_certificate(polys: list[ChaosDecomposition],
                           alpha_dd: float = 1.0) -> CltCertificate:
     r = len(polys)
-    cov = np.zeros((r, r))
     yvar = np.zeros((r, r))
     for a in range(r):
         for b in range(r):
-            cov[a, b] = covariance(polys[a], polys[b])
             y = ChaosDecomposition(max(polys[a].dim, polys[b].dim))
             for p, fa in polys[a].tensors.items():
                 if p < 1:
@@ -293,4 +290,4 @@ def clt_error_certificate(polys: list[ChaosDecomposition],
                         y.set_level(lvl, y.level(lvl).add(t, 1.0 / q))
             yvar[a, b] = y.variance()
     bound = 0.5 * alpha_dd * float(np.sum(np.sqrt(np.maximum(yvar, 0.0))))
-    return CltCertificate(bound, cov, yvar, alpha_dd)
+    return CltCertificate(bound, yvar, alpha_dd)

@@ -4,7 +4,7 @@ Polynomial file format: one term per line, `<coeff> <i1> <i2> ... <ik>`
 with 1-based variable indices (an empty index list is a constant term);
 `#` starts a comment.  Terms with the same index multiset are merged.
 
-Exit codes: 0 success, 2 input error, 3 configuration/size cap exceeded.
+Exit codes: 0 success, 2 input error, 3 a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .polynomials import Polynomial
 from .chaos import to_chaos, clt_error_certificate
 from .tensors import lambda_max, eigenregularity
 from .decomposition import regularize_poly
-from .gaussian import CountConfig, count_gaussian
-from .boolean import BooleanConfig, count_boolean
+from .gaussian import count_gaussian
+from .boolean import count_boolean
 from .moments import absolute_moment, exact_raw_moment
 from .oracles import enumerate_boolean, mc_gaussian
 
@@ -57,6 +57,8 @@ def parse_polynomial(text: str) -> Polynomial:
                              f"cap {DEGREE_CAP}")
         key = tuple(sorted(idx))
         coeffs[key] = coeffs.get(key, 0.0) + c
+        if not math.isfinite(coeffs[key]):
+            raise InputError(f"line {lineno}: non-finite coefficient")
         if idx:
             dim = max(dim, max(idx))
     coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
@@ -86,21 +88,21 @@ def _schedule_from(path: str | None) -> list[float] | None:
         vals = [float(t) for t in Path(path).read_text().split()]
     except (OSError, ValueError) as exc:
         raise InputError(f"bad schedule file {path}: {exc}")
-    if any(v <= 0 for v in vals) or vals != sorted(vals, reverse=True):
-        raise InputError("schedule must be a positive decreasing list")
+    if (not vals or not all(math.isfinite(v) and v > 0 for v in vals)
+            or any(a < b for a, b in zip(vals, vals[1:]))):
+        raise InputError("schedule must be a non-empty list of finite, "
+                         "positive, non-increasing values")
     return vals
 
 
-def _configs(args) -> tuple[CountConfig, BooleanConfig]:
-    gcfg = CountConfig(schedule=_schedule_from(args.schedule),
-                       seed=args.seed, lin_k_cap=args.max_k)
-    bcfg = BooleanConfig(tau=args.tau, gaussian=gcfg)
-    return gcfg, bcfg
+# argparse destinations that are not flags: the subcommand, its handler and
+# its positional arguments
+_NOT_FLAGS = ("command", "fn", "poly", "polys", "dir")
 
 
 def _params(args) -> dict:
-    return {"eps": args.eps, "tau": args.tau, "seed": args.seed,
-            "max_k": args.max_k, "schedule": args.schedule}
+    """The subcommand's flags, as parsed."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS}
 
 
 def _json_default(obj):
@@ -116,8 +118,7 @@ def _emit(report: dict) -> None:
 
 def _cmd_count_gaussian(args) -> int:
     p = _load(args.poly)
-    gcfg, _ = _configs(args)
-    res = count_gaussian(p, args.eps, gcfg)
+    res = count_gaussian(p, args.eps)
     _emit({"command": "count-gaussian", "value": res.value,
            "method": res.method, "budget": res.budget,
            "diagnostics": res.diagnostics, "params": _params(args)})
@@ -126,8 +127,7 @@ def _cmd_count_gaussian(args) -> int:
 
 def _cmd_count_boolean(args) -> int:
     p = _load(args.poly)
-    _, bcfg = _configs(args)
-    res = count_boolean(p, args.eps, bcfg)
+    res = count_boolean(p, args.eps)
     _emit({"command": "count-boolean", "value": res.value,
            "method": res.method, "budget": res.budget,
            "diagnostics": res.diagnostics, "params": _params(args)})
@@ -182,8 +182,7 @@ def _cmd_clt_bound(args) -> int:
 
 def _cmd_moment(args) -> int:
     p = _load(args.poly)
-    _, bcfg = _configs(args)
-    est = absolute_moment(p, args.k, args.eps, bcfg)
+    est = absolute_moment(p, args.k, args.eps)
     report = {"command": "moment", "k": args.k, "value": est.value,
               "lower": est.lower, "upper": est.upper,
               "thresholds": est.thresholds, "params": _params(args)}
@@ -197,20 +196,19 @@ def _cmd_verify(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         raise InputError(f"{args.dir} is not a directory")
-    gcfg, bcfg = _configs(args)
     entries = []
     ok = True
     for path in sorted(directory.glob("*.poly")):
         p = _load(str(path))
         entry: dict = {"file": path.name, "n": p.dim, "degree": p.degree()}
-        gres = count_gaussian(p, args.eps, gcfg)
+        gres = count_gaussian(p, args.eps)
         mc = mc_gaussian(p, args.samples, seed=args.seed)
         entry["gaussian"] = {"engine": gres.value, "mc": mc.value,
                              "mc_stderr": mc.stderr,
                              "err": abs(gres.value - mc.value)}
         passed = entry["gaussian"]["err"] <= args.eps + 4.0 * mc.stderr
         if p.dim <= 24:
-            bres = count_boolean(p, args.eps, bcfg)
+            bres = count_boolean(p, args.eps)
             truth = float(enumerate_boolean(p))
             entry["boolean"] = {"engine": bres.value, "exact": truth,
                                 "err": abs(bres.value - truth)}
@@ -230,46 +228,47 @@ def _build_parser() -> argparse.ArgumentParser:
                     "threshold functions.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def eps(sp):
         sp.add_argument("--eps", type=float, default=0.05)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--max-k", type=int, default=1_000_000,
-                        help="replication cap for multilinearization")
-        sp.add_argument("--schedule", default=None,
-                        help="file with an explicit decreasing eta list")
 
     sp = sub.add_parser("count-gaussian")
-    common(sp); sp.add_argument("poly")
+    eps(sp); sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_count_gaussian)
 
     sp = sub.add_parser("count-boolean")
-    common(sp); sp.add_argument("poly")
+    eps(sp); sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_count_boolean)
 
     sp = sub.add_parser("decompose")
-    common(sp); sp.add_argument("poly")
+    eps(sp)
+    sp.add_argument("--tau", type=float, default=None,
+                    help="variance the decomposition may discard "
+                         "(default: eps)")
+    sp.add_argument("--schedule", default=None,
+                    help="file with an explicit non-increasing eta list")
+    sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_decompose)
 
     sp = sub.add_parser("eigreg")
-    common(sp); sp.add_argument("poly")
+    sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_eigreg)
 
     sp = sub.add_parser("clt-bound")
-    common(sp)
     sp.add_argument("--alpha-dd", type=float, default=1.0)
     sp.add_argument("polys", nargs="+")
     sp.set_defaults(fn=_cmd_clt_bound)
 
     sp = sub.add_parser("moment")
-    common(sp)
+    eps(sp)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_moment)
 
     sp = sub.add_parser("verify")
-    common(sp)
+    eps(sp)
     sp.add_argument("--samples", type=int, default=200_000)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the Monte Carlo oracle")
     sp.add_argument("dir")
     sp.set_defaults(fn=_cmd_verify)
     return ap

@@ -597,13 +597,13 @@ def reconstruct(h: Polynomial,
     return out
 
 
-def regularize_poly(p, tau: float, schedule: list[float] | None = None
+def regularize_poly(chaos: ChaosDecomposition, tau: float,
+                    schedule: list[float] | None = None
                     ) -> DecompositionResult:
-    """Rewrite a polynomial over inner polynomials that are each exactly
-    Gaussian (degree <= 1) or eigenregular, discarding only ~tau variance.
+    """Rewrite a polynomial, given by its chaos decomposition, over inner
+    polynomials that are each exactly Gaussian (degree <= 1) or eigenregular,
+    discarding only ~tau variance.
     """
-    from .chaos import to_chaos
-    chaos = to_chaos(p) if isinstance(p, Polynomial) else p
     d = chaos.degree()
     mu = chaos.mean()
 

@@ -59,8 +59,10 @@ from .tensors import inner as tensor_inner
 # c.  The integrator itself uses the sharp indicator.
 SMOOTHING_PER_INNER = 16.0
 
-# From rank 2 up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol points.
+# From rank 2 up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol points
+# scrambled with seed QMC_SEED.
 QMC_LOG2_N = 17
+QMC_SEED = 0
 # Covariance rounding resolution of round_psd.
 PSD_DELTA = 1e-12
 
@@ -82,13 +84,6 @@ NODE_CAP = 1 << 22
 _CHERNOFF_S = 2.0 ** (np.arange(-32, 41) / 4.0)
 _CHERNOFF_EDGE = 1.0 - 2.0 ** (-np.arange(1, 61) / 2.0)
 _TRUNCATION_U = 2.0 ** (np.arange(-16, 161) / 4.0)
-
-
-@dataclass
-class CountConfig:
-    lin_k_cap: int = 1_000_000           # linearize's replication cap
-    schedule: list[float] | None = None  # explicit decreasing eta schedule
-    seed: int = 0                        # Sobol scramble seed
 
 
 @dataclass
@@ -392,14 +387,11 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
 # the counting pipeline
 # ---------------------------------------------------------------------------
 
-def count_gaussian(p: Polynomial, eps: float = 0.05,
-                   config: CountConfig | None = None) -> CountResult:
+def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
     """Pr[p(x) >= 0] for x ~ N(0,1)^n: count_quadratic at degree <= 2, the
     decomposition pipeline from degree 3 up."""
     if p.degree() <= 2:
         return count_quadratic(p, eps)
-    if config is None:
-        config = CountConfig()
     budget: dict = {}
     diag: dict = {}
     chaos = to_chaos(p)
@@ -412,7 +404,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
 
     work = p
     if any(len(set(k)) != len(k) for k in p.coeffs):
-        lin = linearize(p, delta=eps, k_cap=config.lin_k_cap)
+        lin = linearize(p, delta=eps)
         work = lin.poly
         budget["linearize_var_ratio"] = lin.var_bound
         diag["linearize_K"] = lin.K
@@ -424,7 +416,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
                                budget, diag)
 
     normal = chaos.scale(1.0 / math.sqrt(var))
-    dec = regularize_poly(normal, eps, config.schedule)
+    dec = regularize_poly(normal, eps)
     r = len(dec.inner)
     diag["r"] = r
     diag["inner_levels"] = [ip.level for ip in dec.inner]
@@ -460,7 +452,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05,
         worst = max(dec.eigen) if dec.eigen else 0.0
         budget["clt_heuristic"] = math.sqrt(worst)
 
-    val, qinfo = integrate_gaussian(dec.h, sigma, QMC_LOG2_N, config.seed)
+    val, qinfo = integrate_gaussian(dec.h, sigma, QMC_LOG2_N, QMC_SEED)
     diag["quadrature"] = qinfo
     if qinfo["rank"] <= 1:
         method = "closed_form"

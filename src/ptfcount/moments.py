@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .polynomials import Polynomial
-from .boolean import BooleanConfig, count_boolean
+from .boolean import count_boolean
 
 RAW_TERM_CAP = 2_000_000
 
@@ -42,8 +42,8 @@ class MomentEstimate:
     thresholds: int
 
 
-def absolute_moment(p: Polynomial, k: int, eps: float = 0.05,
-                    config: BooleanConfig | None = None) -> MomentEstimate:
+def absolute_moment(p: Polynomial, k: int,
+                    eps: float = 0.05) -> MomentEstimate:
     """E|p(x)|^k over the hypercube to multiplicative accuracy 1 +- eps.
 
     Writes E|q|^k = int t^k dF(t) for the normalized q = p / sqrt(E[p^2])
@@ -71,15 +71,12 @@ def absolute_moment(p: Polynomial, k: int, eps: float = 0.05,
     while ts[-1] < top:
         ts.append(min(ts[-1] * ratio, top))
 
-    if config is None:
-        config = BooleanConfig()
-
     def prob_ge(t: float) -> float:
         # Pr[|q| >= t] via two one-sided counts
-        hi = count_boolean(q.add(Polynomial.constant(-t, q.dim)), eps / 4.0,
-                           config).value
+        hi = count_boolean(q.add(Polynomial.constant(-t, q.dim)),
+                           eps / 4.0).value
         lo = count_boolean(q.scale(-1.0).add(
-            Polynomial.constant(-t, q.dim)), eps / 4.0, config).value
+            Polynomial.constant(-t, q.dim)), eps / 4.0).value
         return min(1.0, hi + lo)
 
     probs = [prob_ge(t) for t in ts]

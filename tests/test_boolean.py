@@ -7,7 +7,6 @@ from ptfcount.boolean import (
     construct_tree,
     count_boolean,
     derive_tau,
-    influence,
     influences,
 )
 from ptfcount.oracles import enumerate_boolean
@@ -16,11 +15,11 @@ from conftest import random_polynomial
 
 
 def test_influence_anchors():
-    assert influence(Polynomial(2, {(1, 2): 1.0}), 1) == pytest.approx(1.0)
+    assert influences(Polynomial(2, {(1, 2): 1.0}))[1] == pytest.approx(1.0)
     p = Polynomial(2, {(1,): 2 ** -0.5, (2,): 2 ** -0.5})
-    assert influence(p, 1) == pytest.approx(0.5)
+    assert influences(p)[1] == pytest.approx(0.5)
     p = Polynomial(3, {(1, 2): 1.0, (2, 3): 2.0})
-    assert influence(p, 2) == pytest.approx(5.0)
+    assert influences(p)[2] == pytest.approx(5.0)
 
 
 def test_influences_sum():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ptfcount.cli import main, parse_polynomial, serialize_polynomial
+from ptfcount.cli import (InputError, main, parse_polynomial,
+                          serialize_polynomial)
 from ptfcount.polynomials import Polynomial
 
 
@@ -31,6 +32,13 @@ def test_parse_errors():
         parse_polynomial("1 0\n")
     with pytest.raises(ValueError):
         parse_polynomial("1 " + " ".join(["1"] * 9) + "\n")
+    # non-finite coefficients, which the counters would answer arbitrarily
+    with pytest.raises(InputError):
+        parse_polynomial("nan 1 2\n0.3\n")
+    with pytest.raises(InputError):
+        parse_polynomial("inf 1\n")
+    with pytest.raises(InputError):
+        parse_polynomial("1e400 1\n")
 
 
 def test_serialize_round_trip():
@@ -127,9 +135,52 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     f.write_text("2 1 2\n1 3 4\n1 5 6\n1 1 3\n1 7 8 9\n")
     sched = tmp_path / "schedule.txt"
     sched.write_text("0.4\n")
-    code, _ = run_cli(["count-gaussian", "--schedule", str(sched),
+    code, _ = run_cli(["decompose", "--schedule", str(sched),
                        "--eps", "0.05", str(f)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("text", ["", "nan\n", "inf 0.1\n", "0.2 0\n",
+                                  "0.1 0.2\n"],
+                         ids=["empty", "nan", "inf", "zero", "increasing"])
+def test_bad_schedule_exit_code(tmp_path, capsys, text):
+    f = tmp_path / "f.poly"
+    f.write_text("1 1 2\n1 3 4\n")
+    sched = tmp_path / "schedule.txt"
+    sched.write_text(text)
+    code, _ = run_cli(["decompose", "--schedule", str(sched), str(f)],
+                      capsys)
+    assert code == 2
+
+
+def test_params_echo_only_read_flags(tmp_path, capsys):
+    f = tmp_path / "f.poly"
+    f.write_text("1 1 2\n0.3\n")
+    d = tmp_path / "dir"
+    d.mkdir()
+    (d / "a.poly").write_text("1 1\n")
+    cases = [
+        (["count-gaussian", str(f)], {"eps"}),
+        (["count-boolean", str(f)], {"eps"}),
+        (["moment", str(f)], {"eps", "k"}),
+        (["decompose", str(f)], {"eps", "tau", "schedule"}),
+        (["eigreg", str(f)], set()),
+        (["clt-bound", str(f)], {"alpha_dd"}),
+        (["verify", "--samples", "1000", str(d)], {"eps", "samples", "seed"}),
+    ]
+    for args, keys in cases:
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        assert set(json.loads(out)["params"]) == keys, args[0]
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--max-k", "5"]])
+def test_unread_flags_refused(tmp_path, capsys, flag):
+    f = tmp_path / "f.poly"
+    f.write_text("1 1 2\n0.3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count-gaussian", *flag, str(f)])
+    assert exc.value.code == 2
 
 
 def test_entry_point_runs():

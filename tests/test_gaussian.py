@@ -8,7 +8,6 @@ from scipy.stats import chi2, ncx2, norm
 
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
-    CountConfig,
     build_covariance,
     count_gaussian,
     integrate_gaussian,
