@@ -95,6 +95,26 @@ def _schedule_from(path: str | None) -> list[float] | None:
     return vals
 
 
+def _number(kind, ok, what: str):
+    """argparse type: the flag's text read as `kind`, refused (exit 2)
+    unless ok(value); NaN fails every comparison, so it is refused too."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: must be {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
+_EPS = _number(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = _number(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = _number(float, lambda v: 0.0 <= v < math.inf,
+                       "finite and >= 0")
+_COUNT = _number(int, lambda v: v >= 1, ">= 1")
+_SEED = _number(int, lambda v: v >= 0, ">= 0")
+
+
 # argparse destinations that are not flags: the subcommand, its handler and
 # its positional arguments
 _NOT_FLAGS = ("command", "fn", "poly", "polys", "dir")
@@ -229,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def eps(sp):
-        sp.add_argument("--eps", type=float, default=0.05)
+        sp.add_argument("--eps", type=_EPS, default=0.05)
 
     sp = sub.add_parser("count-gaussian")
     eps(sp); sp.add_argument("poly")
@@ -241,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose")
     eps(sp)
-    sp.add_argument("--tau", type=float, default=None,
+    sp.add_argument("--tau", type=_POSITIVE, default=None,
                     help="variance the decomposition may discard "
                          "(default: eps)")
     sp.add_argument("--schedule", default=None,
@@ -254,20 +274,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_eigreg)
 
     sp = sub.add_parser("clt-bound")
-    sp.add_argument("--alpha-dd", type=float, default=1.0)
+    sp.add_argument("--alpha-dd", type=_NONNEGATIVE, default=1.0)
     sp.add_argument("polys", nargs="+")
     sp.set_defaults(fn=_cmd_clt_bound)
 
     sp = sub.add_parser("moment")
     eps(sp)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--k", type=_COUNT, default=1)
     sp.add_argument("poly")
     sp.set_defaults(fn=_cmd_moment)
 
     sp = sub.add_parser("verify")
     eps(sp)
-    sp.add_argument("--samples", type=int, default=200_000)
-    sp.add_argument("--seed", type=int, default=0,
+    sp.add_argument("--samples", type=_COUNT, default=200_000)
+    sp.add_argument("--seed", type=_SEED, default=0,
                     help="seed of the Monte Carlo oracle")
     sp.add_argument("dir")
     sp.set_defaults(fn=_cmd_verify)

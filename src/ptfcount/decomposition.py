@@ -6,12 +6,16 @@ The end product (regularize_poly) rewrites a degree-d polynomial p as
 
 where h is a multilinear "outer" polynomial, each inner A_i lives in a
 single Wiener chaos with unit variance, and every A_i is either degree <= 1
-(exactly Gaussian) or eigenregular.  The construction works level by level:
-split_one_wiener peels one product pair off a single chaos element,
-decompose_one_wiener iterates that with projections,
+(exactly Gaussian) or eigenregular.  The construction is one recursion over
+chaos levels.  split_one_wiener peels one product pair P Q off a single
+chaos element, decompose_one_wiener iterates that with projections, and
 multi_regularize_one_wiener drives every input of one chaos level through a
-shared decreasing schedule of eigenregularity thresholds, and
-multi_regularize_many_wieners recurses over chaos levels.
+shared decreasing schedule of eigenregularity thresholds.
+multi_regularize_many_wieners splits the top level d that way, recurses at
+level d - 1 on the inputs truncated below d together with every P and Q,
+and composes level d from what the recursion returns.  Levels 0 and 1 are
+read only where the recursion reaches d <= 1: each mean becomes a constant
+and each level-1 slice, at unit variance, one inner polynomial.
 """
 
 from __future__ import annotations
@@ -387,29 +391,17 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
 # multi regularize many wieners (recursion over chaos levels)
 # ---------------------------------------------------------------------------
 
-class ArgPool:
-    """Global registry of inner polynomials, keyed by 1-based argument id."""
-
-    def __init__(self):
-        self.items: dict[int, InnerPoly] = {}
-
-    def add(self, ip: InnerPoly) -> int:
-        idx = len(self.items) + 1
-        self.items[idx] = ip
-        return idx
-
-
 @dataclass
 class MRMWResult:
     """Per input s and level q, an outer polynomial over pooled argument ids.
 
-    p~_{s,q} = slices[s][q] evaluated at the pool's inner polynomials; the
-    discarded R_neg variance for each decomposed slice is in neg_var.
+    p~_{s,q} = slices[s][q] evaluated at the inner polynomials, where
+    argument id i stands for pool[i - 1]; the discarded R_neg variance for
+    each decomposed slice is in neg_var.
     """
     slices: list[dict[int, Polynomial]]
-    pool: ArgPool
+    pool: list[InnerPoly]
     neg_var: list[dict[int, float]]
-    num: int
     coeff: float
     eta_next: float
     diagnostics: dict
@@ -418,41 +410,41 @@ class MRMWResult:
 def multi_regularize_many_wieners(
         inputs: list[ChaosDecomposition], d: int, tau: float,
         schedule: list[float] | None = None,
-        pool: ArgPool | None = None) -> MRMWResult:
+        pool: list[InnerPoly] | None = None) -> MRMWResult:
     """Decompose every level of every input into products of inner polys.
 
     Each input is a chaos decomposition whose nonzero levels 1..d have unit
-    variance.  Levels 0 and 1 pass through unchanged; each level q >= 2 is
-    rewritten as a multilinear combination of products of unit-variance
-    inner polynomials that are either degree <= 1 or eigenregular, plus a
-    discarded part of variance at most ~tau (reported exactly).  An explicit
+    variance.  When d <= 1 every input is exactly Gaussian: its mean is the
+    constant and its level-1 slice, at unit variance, one inner polynomial.
+    Only this case reads levels 0 and 1.  For d >= 2, level d is rewritten
+    by multi_regularize_one_wiener as a combination of products P Q of
+    lower-level pieces, an eigenregular remainder, and a discarded part of
+    variance at most ~tau (reported exactly).  One recursive call at d - 1
+    then decomposes the inputs truncated below d together with every P and
+    Q, and level d is composed from their outer polynomials.  An explicit
     decreasing eta schedule replaces make_schedule's at every level.
     """
     if pool is None:
-        pool = ArgPool()
+        pool = []
     k = len(inputs)
     slices: list[dict[int, Polynomial]] = [dict() for _ in range(k)]
     neg_var: list[dict[int, float]] = [dict() for _ in range(k)]
     diagnostics: dict = {"d": d, "tau": tau}
 
-    # levels 0 and 1: identity
-    for s, inp in enumerate(inputs):
-        mu = inp.mean()
-        slices[s][0] = Polynomial(0, {(): mu} if mu != 0.0 else {})
-        f1 = inp.level(1)
-        v1 = var_of(f1)
-        if v1 > 0.0:
-            aid = pool.add(InnerPoly(1, f1.scale(1.0 / math.sqrt(v1))))
-            slices[s][1] = Polynomial(aid, {(aid,): math.sqrt(v1)})
-        else:
-            slices[s][1] = Polynomial(0, {})
     if d <= 1:
-        num = sum(len(slices[s][q].support_vars())
-                  for s in range(k) for q in slices[s])
-        coeff = sum(slices[s][q].l1_norm() for s in range(k)
-                    for q in slices[s])
-        return MRMWResult(slices, pool, neg_var, num, coeff, 1.0,
-                          diagnostics)
+        for s, inp in enumerate(inputs):
+            mu = inp.mean()
+            slices[s][0] = Polynomial(0, {(): mu} if mu != 0.0 else {})
+            f1 = inp.level(1)
+            v1 = var_of(f1)
+            if v1 > 0.0:
+                pool.append(InnerPoly(1, f1.scale(1.0 / math.sqrt(v1))))
+                aid = len(pool)
+                slices[s][1] = Polynomial(aid, {(aid,): math.sqrt(v1)})
+            else:
+                slices[s][1] = Polynomial(0, {})
+        coeff = sum(poly.l1_norm() for sl in slices for poly in sl.values())
+        return MRMWResult(slices, pool, neg_var, coeff, 1.0, diagnostics)
 
     eps = tau if d == 2 else tau / 8.0
 
@@ -465,99 +457,66 @@ def multi_regularize_many_wieners(
         vd = var_of(fd)
         if vd <= eps:
             # whole slice is negligible
-            slices[s][d] = Polynomial(0, {})
             neg_var[s][d] = vd
             continue
         top_idx.append(s)
         top_scale.append(math.sqrt(vd))
         top_f.append(fd.scale(1.0 / math.sqrt(vd)))
 
-    multi = None
+    outcomes: list[RegularizeOutcome] = []
     if top_f:
         etas = schedule if schedule is not None \
             else make_schedule(eps, len(top_f))
         multi = multi_regularize_one_wiener(top_f, etas, eps)
+        outcomes = multi.per_input
         diagnostics["t"] = multi.t
         diagnostics["eta_next"] = multi.eta_next
 
-    if d == 2:
-        if multi is not None:
-            for pos, s in enumerate(top_idx):
-                outc = multi.per_input[pos]
-                sc = top_scale[pos]
-                poly = Polynomial(0, {})
-                for a, p_, q_ in outc.triples:
-                    pid = pool.add(p_)
-                    qid = pool.add(q_)
-                    poly = poly.add(
-                        Polynomial(max(pid, qid),
-                                   {tuple(sorted((pid, qid))): a * sc}))
-                if outc.a_reg > 0.0 and outc.reg is not None:
-                    rid = pool.add(InnerPoly(2, outc.reg))
-                    poly = poly.add(
-                        Polynomial(rid, {(rid,): outc.a_reg * sc}))
-                slices[s][2] = poly
-                neg_var[s][2] = outc.neg_var * sc * sc
-    else:
-        # recursion inputs: original truncations, then each P and Q
-        rec_inputs: list[ChaosDecomposition] = []
-        for inp in inputs:
-            tr = ChaosDecomposition(inp.dim)
-            for q_, t_ in inp.tensors.items():
-                if q_ <= d - 1:
-                    tr.set_level(q_, t_.copy())
-            rec_inputs.append(tr)
-        pq_index: dict[int, int] = {}  # id(InnerPoly) -> recursion input idx
-        total_abs = 0.0
-        if multi is not None:
-            for pos, s in enumerate(top_idx):
-                outc = multi.per_input[pos]
-                total_abs += sum(abs(a) for a, _, _ in outc.triples) \
-                    * top_scale[pos]
-                for _, p_, q_ in outc.triples:
-                    for ip in (p_, q_):
-                        pq_index[id(ip)] = len(rec_inputs)
-                        rec_inputs.append(single_level(ip.tensor))
-        tau_rec = tau / (8.0 * max(1.0, total_abs) ** 2)
-        sub = multi_regularize_many_wieners(rec_inputs, d - 1, tau_rec,
-                                            schedule, pool)
-        diagnostics["recursion"] = sub.diagnostics
-        # lower levels of the originals come straight from the recursion
-        for s in range(k):
-            for q_ in range(0, d):
-                slices[s][q_] = sub.slices[s].get(q_, Polynomial(0, {}))
-                if q_ in sub.neg_var[s]:
-                    neg_var[s][q_] = sub.neg_var[s][q_]
-        # level d: compose the triples through their recursive approximators
-        if multi is not None:
-            for pos, s in enumerate(top_idx):
-                outc = multi.per_input[pos]
-                sc = top_scale[pos]
-                poly = Polynomial(0, {})
-                for a, p_, q_ in outc.triples:
-                    out_p = sub.slices[pq_index[id(p_)]][p_.level]
-                    out_q = sub.slices[pq_index[id(q_)]][q_.level]
-                    poly = poly.add(out_p.mul(out_q).scale(a * sc))
-                if outc.a_reg > 0.0 and outc.reg is not None:
-                    rid = pool.add(InnerPoly(d, outc.reg))
-                    poly = poly.add(
-                        Polynomial(rid, {(rid,): outc.a_reg * sc}))
-                slices[s][d] = poly
-                neg_var[s][d] = outc.neg_var * sc * sc
-
-    used: set[int] = set()
+    # recursion inputs: original truncations, then each P and Q in order
+    rec_inputs: list[ChaosDecomposition] = []
+    for inp in inputs:
+        tr = ChaosDecomposition(inp.dim)
+        for q_, t_ in inp.tensors.items():
+            if q_ <= d - 1:
+                tr.set_level(q_, t_.copy())
+        rec_inputs.append(tr)
+    total_abs = 0.0
+    for outc, sc in zip(outcomes, top_scale):
+        total_abs += sum(abs(a) for a, _, _ in outc.triples) * sc
+        for _, p_, q_ in outc.triples:
+            rec_inputs.append(single_level(p_.tensor))
+            rec_inputs.append(single_level(q_.tensor))
+    tau_rec = tau / (8.0 * max(1.0, total_abs) ** 2)
+    sub = multi_regularize_many_wieners(rec_inputs, d - 1, tau_rec,
+                                        schedule, pool)
+    diagnostics["recursion"] = sub.diagnostics
+    # lower levels of the originals come straight from the recursion
     for s in range(k):
-        for q_, poly in slices[s].items():
-            used.update(poly.support_vars())
-    num = len(used)
-    coeff = sum(poly.l1_norm() for s in range(k)
-                for poly in slices[s].values())
-    eta_next = diagnostics.get("eta_next", 1.0)
-    if "recursion" in diagnostics:
-        eta_next = min(eta_next,
-                       diagnostics["recursion"].get("eta_next", 1.0))
-    return MRMWResult(slices, pool, neg_var, num, coeff, eta_next,
-                      diagnostics)
+        for q_ in range(0, d):
+            slices[s][q_] = sub.slices[s].get(q_, Polynomial(0, {}))
+            if q_ in sub.neg_var[s]:
+                neg_var[s][q_] = sub.neg_var[s][q_]
+        slices[s][d] = Polynomial(0, {})
+    # level d: compose the triples through their recursive approximators
+    nxt = k  # recursion input of the next P
+    for s, outc, sc in zip(top_idx, outcomes, top_scale):
+        poly = Polynomial(0, {})
+        for a, p_, q_ in outc.triples:
+            out_p = sub.slices[nxt][p_.level]
+            out_q = sub.slices[nxt + 1][q_.level]
+            nxt += 2
+            poly = poly.add(out_p.mul(out_q).scale(a * sc))
+        if outc.reg is not None:
+            pool.append(InnerPoly(d, outc.reg))
+            rid = len(pool)
+            poly = poly.add(Polynomial(rid, {(rid,): outc.a_reg * sc}))
+        slices[s][d] = poly
+        neg_var[s][d] = outc.neg_var * sc * sc
+
+    coeff = sum(poly.l1_norm() for sl in slices for poly in sl.values())
+    eta_next = min(diagnostics.get("eta_next", 1.0),
+                   sub.diagnostics.get("eta_next", 1.0))
+    return MRMWResult(slices, pool, neg_var, coeff, eta_next, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +530,6 @@ class DecompositionResult:
     inner: list[InnerPoly]        # the A_i, unit variance each
     var_gap: float
     eigen: list[float]            # achieved eigenregularity per inner poly
-    approx: ChaosDecomposition    # chaos decomposition of h(A)
     diagnostics: dict
 
 
@@ -609,8 +567,7 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
 
     if d == 0:
         h = Polynomial(0, {(): mu} if mu != 0.0 else {})
-        return DecompositionResult(h, [], 0.0, [],
-                                   chaos, {"trivial": True})
+        return DecompositionResult(h, [], 0.0, [], {"trivial": True})
 
     # normalize each level; remember the scale
     normed = ChaosDecomposition(chaos.dim)
@@ -633,17 +590,14 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
     h = Polynomial(len(used),
                    {tuple(sorted(remap[i] for i in k_)): v
                     for k_, v in h_global.coeffs.items()})
-    inner = [res.pool.items[old] for old in used]
+    inner = [res.pool[old - 1] for old in used]
 
-    approx = reconstruct(h, inner)
-    diff = chaos.add(approx, -1.0)
-    var_gap = diff.variance()
+    var_gap = chaos.add(reconstruct(h, inner), -1.0).variance()
     eigen = [ip.eigenregularity() for ip in inner]
     diag = dict(res.diagnostics)
     diag.update({
-        "num": res.num,
         "coeff": res.coeff,
         "eta_next": res.eta_next,
         "neg_var": res.neg_var[0],
     })
-    return DecompositionResult(h, inner, var_gap, eigen, approx, diag)
+    return DecompositionResult(h, inner, var_gap, eigen, diag)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.special
@@ -117,21 +116,20 @@ def round_psd(sigma: np.ndarray, delta: float) -> tuple[np.ndarray, dict]:
     """Round covariance entries to multiples of 1/ceil(1/delta), then shift
     the diagonal by the smallest such multiple that restores PSD-ness."""
     den = math.ceil(1.0 / delta)
-    rounded = np.array([[Fraction(round(x * den), den) for x in row]
-                        for row in sigma], dtype=object)
-    approx = rounded.astype(float)
-    shift = Fraction(0)
+    # entries are at most 1 in absolute value, so round(sigma * den) is an
+    # exact integer below 2^53 and its quotient by den is correctly rounded
+    approx = np.round(sigma * den) / den
+    eye = np.eye(sigma.shape[0])
+    shift = 0  # in units of 1/den
     for _ in range(2):
-        w = np.linalg.eigvalsh(approx)
-        lo = float(w[0])
+        lo = float(np.linalg.eigvalsh(approx)[0])
         if lo >= 0.0:
             break
-        add = Fraction(math.ceil(-lo * den) + 1, den)
+        add = math.ceil(-lo * den) + 1
         shift += add
-        approx = approx + float(add) * np.eye(sigma.shape[0])
-    info = {"denominator": den, "diag_shift": float(shift),
-            "max_entry_err": float(np.max(np.abs(approx - float(shift)
-                                                 * np.eye(sigma.shape[0])
+        approx = approx + (add / den) * eye
+    info = {"denominator": den, "diag_shift": shift / den,
+            "max_entry_err": float(np.max(np.abs(approx - shift / den * eye
                                                  - sigma)))}
     return approx, info
 
@@ -390,30 +388,23 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
 def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
     """Pr[p(x) >= 0] for x ~ N(0,1)^n: count_quadratic at degree <= 2, the
     decomposition pipeline from degree 3 up."""
-    if p.degree() <= 2:
+    d = p.degree()
+    if d <= 2:
         return count_quadratic(p, eps)
     budget: dict = {}
     diag: dict = {}
-    chaos = to_chaos(p)
-    mu = chaos.mean()
-    var = chaos.variance()
-    if var <= 0.0:
-        return CountResult(1.0 if mu >= 0.0 else 0.0, eps, "constant",
-                           {"total": 0.0}, {})
-    d = chaos.degree()
-
     work = p
     if any(len(set(k)) != len(k) for k in p.coeffs):
         lin = linearize(p, delta=eps)
         work = lin.poly
         budget["linearize_var_ratio"] = lin.var_bound
         diag["linearize_K"] = lin.K
-        chaos = to_chaos(work)
-        mu = chaos.mean()
-        var = chaos.variance()
-        if var <= 0.0:
-            return CountResult(1.0 if mu >= 0.0 else 0.0, eps, "constant",
-                               budget, diag)
+    chaos = to_chaos(work)
+    mu = chaos.mean()
+    var = chaos.variance()
+    if var <= 0.0:
+        return CountResult(1.0 if mu >= 0.0 else 0.0, eps, "constant",
+                           budget, diag)
 
     normal = chaos.scale(1.0 / math.sqrt(var))
     dec = regularize_poly(normal, eps)
@@ -424,7 +415,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
     budget["decomposition_var_gap"] = dec.var_gap
     if dec.var_gap > 0.0:
         budget["decomposition_sign_flip"] = min(
-            1.0, d * dec.var_gap ** (1.0 / (3.0 * max(d, 1))))
+            1.0, d * dec.var_gap ** (1.0 / (3.0 * d)))
 
     if r == 0:
         val = 1.0 if dec.h.constant_term() >= 0.0 else 0.0

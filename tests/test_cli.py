@@ -183,6 +183,32 @@ def test_unread_flags_refused(tmp_path, capsys, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["count-gaussian", "--eps", "0"],
+    ["count-gaussian", "--eps", "-1"],
+    ["count-gaussian", "--eps", "inf"],
+    ["count-boolean", "--eps", "0"],
+    ["count-boolean", "--eps", "nan"],
+    ["moment", "--k", "0"],
+    ["decompose", "--tau", "nan"],
+    ["decompose", "--tau", "-1"],
+    ["decompose", "--eps", "0"],
+    ["clt-bound", "--alpha-dd", "nan"],
+    ["verify", "--samples", "0"],
+    ["verify", "--seed", "-1"],
+], ids=lambda a: " ".join(a))
+def test_bad_numeric_flag_exit_code(tmp_path, capsys, args):
+    f = tmp_path / "f.poly"
+    f.write_text("1 1 2\n1 3 4\n0.1\n")
+    target = tmp_path if args[0] == "verify" else f
+    with pytest.raises(SystemExit) as exc:
+        main([*args, str(target)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "ptfcount.cli", "--help"],
                           capture_output=True, text=True)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from ptfcount.polynomials import Polynomial
-from ptfcount.chaos import to_chaos
+from ptfcount.chaos import ChaosDecomposition, to_chaos
 from ptfcount.decomposition import (
     decompose_max_iter,
     decompose_one_wiener,
     derandomized_partition,
     make_schedule,
+    multi_regularize_many_wieners,
     multi_regularize_one_wiener,
     partition_objective,
     regularize_poly,
@@ -220,3 +221,24 @@ def test_degree_one_passthrough():
     assert dec.inner[0].level == 1
     assert dec.eigen == [0.0]
     assert dec.var_gap <= 1e-12
+
+
+def test_every_pooled_inner_poly_is_used():
+    # levels 0 and 1 become inner polynomials only where the recursion
+    # bottoms out, so no pool entry is left over from a higher level
+    rng = np.random.default_rng(5)
+    for i in range(30):
+        chaos = to_chaos(random_polynomial(rng, d=3 + i % 2, n=8,
+                                           multilinear=True))
+        d = chaos.degree()
+        normed = ChaosDecomposition(chaos.dim)
+        for q in range(1, d + 1):
+            v = var_of(chaos.level(q))
+            if v > 0.0:
+                normed.set_level(q, chaos.level(q).scale(1.0 / math.sqrt(v)))
+        res = multi_regularize_many_wieners([normed], d, 0.05)
+        used = set()
+        for sl in res.slices:
+            for poly in sl.values():
+                used |= poly.support_vars()
+        assert used == set(range(1, len(res.pool) + 1))
