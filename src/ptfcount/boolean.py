@@ -11,6 +11,11 @@ invariance principle).  A small leaf is counted exactly: its values on all
 coefficient vector, O(m 2^m) work whatever its number of terms.  Leaves
 hitting the depth or size budget contribute 1/2 and their mass is reported
 as error.
+
+hypercube_values is that transform, the one kernel; it has two readers.
+_enumerate_support counts the nonnegative values of a leaf, and
+moments.absolute_moment averages |values|^k when p touches at most
+ENUM_VARS variables.
 """
 
 from __future__ import annotations
@@ -45,18 +50,23 @@ def influences(p: Polynomial) -> dict[int, float]:
     return out
 
 
-def _enumerate_support(p: Polynomial) -> float:
-    """Exact Pr[p >= 0] over the subcube of the variables p touches.
+def hypercube_values(p: Polynomial) -> np.ndarray:
+    """Values of a multilinear p on all 2^m points of the subcube of the m
+    variables p touches.
 
-    The values of a multilinear p on all 2^m points of that subcube are the
-    unnormalised Walsh-Hadamard transform of its coefficient vector, indexed
-    by bitmasks over the m touched variables; bit j of a point's index means
-    the j-th touched variable is -1.  The m butterfly passes cost O(m 2^m)
-    whatever the number of terms.
+    They are the unnormalised Walsh-Hadamard transform of p's coefficient
+    vector, indexed by bitmasks over the touched variables; bit j of a
+    point's index means the j-th touched variable is -1.  The m butterfly
+    passes cost O(m 2^m) whatever the number of terms.
     """
     sup = sorted(p.support_vars())
     bit = {v: 1 << j for j, v in enumerate(sup)}
-    vals = np.zeros(1 << len(sup))
+    # both buffers of the passes come from one block: glibc sets its heap
+    # trim threshold to twice the largest block it has unmapped, so one
+    # block stays in the heap between calls, where two equal blocks freed
+    # together are trimmed and fault their pages back in on every call
+    vals, out = np.empty((2, 1 << len(sup)))
+    vals.fill(0.0)
     for k, c in p.coeffs.items():
         mask = 0
         for i in k:
@@ -66,13 +76,18 @@ def _enumerate_support(p: Polynomial) -> float:
     # sums in the first half and differences in the second, which makes
     # variable j+1's pairs adjacent; unlike passes in place over blocks of
     # width 2^j, every pass runs over long unit-stride rows
-    out = np.empty_like(vals)
     half = vals.size // 2
     for _ in sup:
         pairs = vals.reshape(-1, 2)
         np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
         np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
         vals, out = out, vals
+    return vals
+
+
+def _enumerate_support(p: Polynomial) -> float:
+    """Exact Pr[p >= 0] over the subcube of the variables p touches."""
+    vals = hypercube_values(p)
     return float(np.count_nonzero(vals >= 0.0)) / vals.size
 
 

@@ -42,8 +42,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
-import scipy.stats
+# scipy is imported inside the functions that use it: loading scipy.stats,
+# scipy.special and scipy.sparse takes about 70 MB and 1 s, which Boolean
+# counts and moments that never reach a Gaussian leaf should not pay
 
 from .polynomials import Polynomial
 from .chaos import to_chaos, clt_error_certificate, single_level
@@ -170,6 +171,8 @@ def integrate_gaussian(h: Polynomial, sigma: np.ndarray, log2_n: int,
 
 def _qmc_sharp(phi: Polynomial, L: np.ndarray, log2_n: int,
                seed: int) -> tuple[float, dict]:
+    import scipy.special
+    import scipy.stats
     rank = L.shape[1]
     eng = scipy.stats.qmc.Sobol(d=rank, scramble=True, seed=seed)
     u = eng.random(1 << log2_n)
@@ -189,6 +192,7 @@ def univariate_probability(h: Polynomial, var: float) -> float:
     between roots on which h >= 0 at an inner point.  Real parts of complex
     roots only add breakpoints, which leaves the sum unchanged.
     """
+    import scipy.special
     coef = np.zeros(h.degree() + 1)
     for k, v in h.coeffs.items():
         coef[len(k)] += v
@@ -303,6 +307,7 @@ def _truncation_bound(cut: np.ndarray, lam: np.ndarray, beta: np.ndarray,
     pure = np.where(m_s > 0, np.log(2.0 / np.maximum(m_s, 1))
                     - 0.5 * m_s * np.log(cut), np.inf)
     if s0 > 0.0:
+        import scipy.special
         damped = (math.log(math.sqrt(2.0 * math.pi) / s0)
                   - (1.0 + 0.5 * m_s) * np.log(cut)
                   + scipy.special.log_ndtr(-s0 * cut))

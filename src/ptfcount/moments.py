@@ -1,10 +1,13 @@
 """Moments of polynomials over the uniform hypercube.
 
 exact_raw_moment expands p^k symbolically with the reduction x_i^2 = 1 and
-reads off the constant term.  absolute_moment approximates E|p|^k to a
-(1 +- eps) multiplicative factor by integrating the threshold-count curve
-t -> Pr[|p| >= t] (a Riemann-Stieltjes bracket over a geometric grid of
-thresholds, each evaluated with the deterministic hypercube counter).
+reads off the constant term.  absolute_moment reads E|p|^k exactly off the
+hypercube transform boolean.hypercube_values when p touches at most
+ENUM_VARS variables; the transform is the one kernel that the Boolean
+leaves' count also reads.  Wider supports get a (1 +- eps) multiplicative
+bracket by integrating the threshold-count curve t -> Pr[|p| >= t] (a
+Riemann-Stieltjes bracket over a geometric grid of thresholds, each
+evaluated with the deterministic hypercube counter).
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .polynomials import Polynomial
-from .boolean import count_boolean
+from .boolean import ENUM_VARS, count_boolean, hypercube_values
 
 RAW_TERM_CAP = 2_000_000
 
@@ -39,23 +44,32 @@ class MomentEstimate:
     upper: float          # Riemann-Stieltjes upper bound
     k: int
     eps: float
-    thresholds: int
+    thresholds: int       # 0 when the value is exact
 
 
 def absolute_moment(p: Polynomial, k: int,
                     eps: float = 0.05) -> MomentEstimate:
     """E|p(x)|^k over the hypercube to multiplicative accuracy 1 +- eps.
 
-    Writes E|q|^k = int t^k dF(t) for the normalized q = p / sqrt(E[p^2])
-    and brackets the integral between the lower and upper Stieltjes sums on
-    a geometric threshold grid of ratio 1 + eps/(2k); each F increment comes
-    from two deterministic threshold counts.  |q| <= l1(q) exactly, so the
-    grid is finite with no tail error.
+    When p touches at most ENUM_VARS variables, E|p|^k is the mean of
+    |values|^k over the 2^m values of one hypercube transform: exact, with
+    value == lower == upper and no thresholds.
+
+    Wider supports take the threshold sweep: write E|q|^k = int t^k dF(t)
+    for the normalized q = p / sqrt(E[p^2]) and bracket the integral
+    between the lower and upper Stieltjes sums on a geometric threshold
+    grid of ratio 1 + eps/(2k); each F increment comes from two
+    deterministic threshold counts.  |q| <= l1(q) exactly, so the grid is
+    finite with no tail error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     work = p.hypercube_reduce()
-    second = exact_raw_moment(work, 2)
+    if len(work.support_vars()) <= ENUM_VARS:
+        exact = float(np.mean(np.abs(hypercube_values(work)) ** k))
+        return MomentEstimate(exact, exact, exact, k, eps, 0)
+    # Parseval: the multilinear work has E[work^2] = sum of c_S^2
+    second = sum(c * c for c in work.coeffs.values())
     if second <= 0.0:
         return MomentEstimate(0.0, 0.0, 0.0, k, eps, 0)
     norm = math.sqrt(second)

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+
+if TYPE_CHECKING:
+    # imported where it is used, so that importing the package does not
+    # load scipy (see gaussian.py)
+    import scipy.sparse
 
 # Entries smaller than this fraction of the Frobenius norm are dropped after
 # each operation to keep supports from accumulating numerical dust.
@@ -260,6 +264,7 @@ def flattening(f: SymTensor, k: int) -> Flattening:
             ri.append(rows[s])
             ci.append(cols[t])
             vals.append(math.sqrt(orbit_size(s) * orbit_size(t)) * v)
+    import scipy.sparse
     m = scipy.sparse.csr_matrix(
         (vals, (ri, ci)), shape=(max(len(rows), 1), max(len(cols), 1)))
     return Flattening(k, list(rows.keys()), list(cols.keys()), m)
@@ -285,6 +290,7 @@ def _top_singular(fl: Flattening) -> tuple[float, np.ndarray, np.ndarray]:
         u, sv, vt = np.linalg.svd(dense, full_matrices=False)
         return float(sv[0]), u[:, 0], vt[0]
     v0 = np.ones(min(m.shape))
+    import scipy.sparse.linalg
     u, sv, vt = scipy.sparse.linalg.svds(m.astype(float), k=1, v0=v0)
     return float(sv[0]), u[:, 0], vt[0]
 
