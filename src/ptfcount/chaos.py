@@ -15,6 +15,7 @@ contraction products of the tensors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polynomials import Polynomial
-from .tensors import SymTensor, contract_sym, inner
+from .tensors import SymTensor, contract_sym, inner, orbit_size
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +105,6 @@ def single_level(t: SymTensor) -> ChaosDecomposition:
 
 def to_chaos(p: Polynomial) -> ChaosDecomposition:
     """Expand a polynomial into its Wiener chaos slices."""
-    import itertools
     out = ChaosDecomposition(p.dim)
     acc: dict[int, dict[tuple[int, ...], float]] = {}
     for mono, c in p.coeffs.items():
@@ -125,7 +125,6 @@ def to_chaos(p: Polynomial) -> ChaosDecomposition:
             key_t = tuple(key)  # already sorted since vars_ ascending
             lvl = acc.setdefault(len(key_t), {})
             lvl[key_t] = lvl.get(key_t, 0.0) + w
-    from .tensors import orbit_size
     for q, entries in acc.items():
         coeffs = {k: v / orbit_size(k) for k, v in entries.items()
                   if v != 0.0}
@@ -137,8 +136,6 @@ def to_chaos(p: Polynomial) -> ChaosDecomposition:
 
 def from_chaos(c: ChaosDecomposition) -> Polynomial:
     """Inverse of to_chaos: expand chaos slices back into monomials."""
-    import itertools
-    from .tensors import orbit_size
     out = Polynomial(c.dim, {})
     for q, t in c.tensors.items():
         for key, v in t.coeffs.items():

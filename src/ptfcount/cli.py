@@ -165,7 +165,7 @@ def _cmd_decompose(args) -> int:
                           _schedule_from(args.schedule))
     _emit({"command": "decompose",
            "num_inner": len(dec.inner),
-           "inner_levels": [ip.level for ip in dec.inner],
+           "inner_levels": [t.order for t in dec.inner],
            "eigenregularities": dec.eigen,
            "var_gap": dec.var_gap,
            "outer_terms": len(dec.h.coeffs),

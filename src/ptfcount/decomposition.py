@@ -6,11 +6,15 @@ The end product (regularize_poly) rewrites a degree-d polynomial p as
 
 where h is a multilinear "outer" polynomial, each inner A_i lives in a
 single Wiener chaos with unit variance, and every A_i is either degree <= 1
-(exactly Gaussian) or eigenregular.  The construction is one recursion over
-chaos levels.  split_one_wiener peels one product pair P Q off a single
-chaos element, decompose_one_wiener iterates that with projections, and
-multi_regularize_one_wiener drives every input of one chaos level through a
-shared decreasing schedule of eigenregularity thresholds.
+(exactly Gaussian) or eigenregular.  Each A_i, and each piece P or Q of a
+split, is kept as the plain unit-variance SymTensor f with A_i = I_q(f),
+and its chaos level q is f.order.
+
+The construction is one recursion over chaos levels.  split_one_wiener
+peels one product pair P Q off a single chaos element, decompose_one_wiener
+iterates that with projections, and multi_regularize_one_wiener drives
+every input of one chaos level through a shared decreasing schedule of
+eigenregularity thresholds.
 multi_regularize_many_wieners splits the top level d that way, recurses at
 level d - 1 on the inputs truncated below d together with every P and Q,
 and composes level d from what the recursion returns.  Levels 0 and 1 are
@@ -55,16 +59,6 @@ def var_of(t: SymTensor) -> float:
     return math.factorial(t.order) * t.norm_sq()
 
 
-@dataclass
-class InnerPoly:
-    """A unit-variance element of a single Wiener chaos."""
-    level: int
-    tensor: SymTensor
-
-    def eigenregularity(self) -> float:
-        return eigenregularity(self.tensor)
-
-
 def make_schedule(eps: float, r: int, eta0: float = ETA0) -> list[float]:
     """Decreasing eigenregularity thresholds eta_1 >= ... >= eta_K.
 
@@ -90,8 +84,8 @@ class SplitOutcome:
     eigenregular: bool
     lam: float                       # lambda_max of the input
     c: float = 0.0
-    p: InnerPoly | None = None
-    q: InnerPoly | None = None
+    p: SymTensor | None = None
+    q: SymTensor | None = None
     remainder: SymTensor | None = None
     product: SymTensor | None = None  # tensor of P*Q (unit variance)
 
@@ -200,8 +194,7 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     u = contract_sym(g1, g2, 0)  # tensor of P*Q, unit variance
     c = math.factorial(q) * inner(f, u)
     r = f.add(u, -c)
-    return SplitOutcome(False, rep.value, c,
-                        InnerPoly(q1, g1), InnerPoly(q2, g2), r, u)
+    return SplitOutcome(False, rep.value, c, g1, g2, r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,7 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
 @dataclass
 class DecomposeOutcome:
     status: str  # "small-remainder" | "eigenregular"
-    triples: list[tuple[float, InnerPoly, InnerPoly]]
+    triples: list[tuple[float, SymTensor, SymTensor]]
     products: list[SymTensor]   # unit-variance tensors of P_j Q_j
     remainder: SymTensor
     remainder_var: float
@@ -245,7 +238,7 @@ def decompose_one_wiener(f: SymTensor, eta: float,
     q = f.order
     m_max = decompose_max_iter(q, eta, eps)
     products: list[SymTensor] = []
-    pq: list[tuple[InnerPoly, InnerPoly]] = []
+    pq: list[tuple[SymTensor, SymTensor]] = []
     g = f.copy()
     coeffs: list[float] = []
     while True:
@@ -292,7 +285,7 @@ def decompose_one_wiener(f: SymTensor, eta: float,
 @dataclass
 class RegularizeOutcome:
     """I_q(f) = sum_j a_j P_j Q_j + a_reg R_reg + R_neg."""
-    triples: list[tuple[float, InnerPoly, InnerPoly]]
+    triples: list[tuple[float, SymTensor, SymTensor]]
     products: list[SymTensor]
     neg: SymTensor
     neg_var: float
@@ -400,7 +393,7 @@ class MRMWResult:
     each decomposed slice is in neg_var.
     """
     slices: list[dict[int, Polynomial]]
-    pool: list[InnerPoly]
+    pool: list[SymTensor]
     neg_var: list[dict[int, float]]
     coeff: float
     eta_next: float
@@ -410,7 +403,7 @@ class MRMWResult:
 def multi_regularize_many_wieners(
         inputs: list[ChaosDecomposition], d: int, tau: float,
         schedule: list[float] | None = None,
-        pool: list[InnerPoly] | None = None) -> MRMWResult:
+        pool: list[SymTensor] | None = None) -> MRMWResult:
     """Decompose every level of every input into products of inner polys.
 
     Each input is a chaos decomposition whose nonzero levels 1..d have unit
@@ -438,7 +431,7 @@ def multi_regularize_many_wieners(
             f1 = inp.level(1)
             v1 = var_of(f1)
             if v1 > 0.0:
-                pool.append(InnerPoly(1, f1.scale(1.0 / math.sqrt(v1))))
+                pool.append(f1.scale(1.0 / math.sqrt(v1)))
                 aid = len(pool)
                 slices[s][1] = Polynomial(aid, {(aid,): math.sqrt(v1)})
             else:
@@ -484,8 +477,8 @@ def multi_regularize_many_wieners(
     for outc, sc in zip(outcomes, top_scale):
         total_abs += sum(abs(a) for a, _, _ in outc.triples) * sc
         for _, p_, q_ in outc.triples:
-            rec_inputs.append(single_level(p_.tensor))
-            rec_inputs.append(single_level(q_.tensor))
+            rec_inputs.append(single_level(p_))
+            rec_inputs.append(single_level(q_))
     tau_rec = tau / (8.0 * max(1.0, total_abs) ** 2)
     sub = multi_regularize_many_wieners(rec_inputs, d - 1, tau_rec,
                                         schedule, pool)
@@ -502,12 +495,12 @@ def multi_regularize_many_wieners(
     for s, outc, sc in zip(top_idx, outcomes, top_scale):
         poly = Polynomial(0, {})
         for a, p_, q_ in outc.triples:
-            out_p = sub.slices[nxt][p_.level]
-            out_q = sub.slices[nxt + 1][q_.level]
+            out_p = sub.slices[nxt][p_.order]
+            out_q = sub.slices[nxt + 1][q_.order]
             nxt += 2
             poly = poly.add(out_p.mul(out_q).scale(a * sc))
         if outc.reg is not None:
-            pool.append(InnerPoly(d, outc.reg))
+            pool.append(outc.reg)
             rid = len(pool)
             poly = poly.add(Polynomial(rid, {(rid,): outc.a_reg * sc}))
         slices[s][d] = poly
@@ -525,31 +518,35 @@ def multi_regularize_many_wieners(
 
 @dataclass
 class DecompositionResult:
-    """p(x) ~= h(A_1(x), ..., A_r(x)) with Var[p - h(A)] = var_gap."""
+    """p(x) ~= h(A_1(x), ..., A_r(x)) with Var[p - h(A)] = var_gap.
+
+    Each A_i = I_q(inner[i - 1]) is a unit-variance SymTensor whose chaos
+    level q is its .order.
+    """
     h: Polynomial                 # outer polynomial over args 1..r
-    inner: list[InnerPoly]        # the A_i, unit variance each
+    inner: list[SymTensor]        # the A_i
     var_gap: float
     eigen: list[float]            # achieved eigenregularity per inner poly
     diagnostics: dict
 
 
 def reconstruct(h: Polynomial,
-                inner: list[InnerPoly]) -> ChaosDecomposition:
+                inner: list[SymTensor]) -> ChaosDecomposition:
     """Exact chaos decomposition of h(A_1..A_r).
 
     Every monomial of h multiplies inner polynomials with pairwise disjoint
     variable supports, so each product stays inside a single chaos level.
     """
-    dim = max((ip.tensor.dim for ip in inner), default=0)
+    dim = max((t.dim for t in inner), default=0)
     out = ChaosDecomposition(dim)
     for mono, c in h.coeffs.items():
         if not mono:
             lvl0 = out.level(0).add(SymTensor(0, dim, {(): c}))
             out.set_level(0, lvl0)
             continue
-        t = inner[mono[0] - 1].tensor
+        t = inner[mono[0] - 1]
         for aid in mono[1:]:
-            t = contract_sym(t, inner[aid - 1].tensor, 0)
+            t = contract_sym(t, inner[aid - 1], 0)
         lvl = out.level(t.order).add(t, c)
         out.set_level(t.order, lvl)
     return out
@@ -593,7 +590,7 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
     inner = [res.pool[old - 1] for old in used]
 
     var_gap = chaos.add(reconstruct(h, inner), -1.0).variance()
-    eigen = [ip.eigenregularity() for ip in inner]
+    eigen = [eigenregularity(t) for t in inner]
     diag = dict(res.diagnostics)
     diag.update({
         "coeff": res.coeff,

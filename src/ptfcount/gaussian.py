@@ -48,9 +48,9 @@ import numpy as np
 
 from .polynomials import Polynomial
 from .chaos import to_chaos, clt_error_certificate, single_level
-from .decomposition import InnerPoly, regularize_poly
+from .decomposition import regularize_poly
 from .multilinear import linearize
-from .tensors import inner as tensor_inner
+from .tensors import SymTensor, inner as tensor_inner
 
 
 # The paper's CLT bound and the covariance-rounding bound are stated for the
@@ -99,14 +99,14 @@ class CountResult:
 # covariance and its rounding
 # ---------------------------------------------------------------------------
 
-def build_covariance(inner_polys: list[InnerPoly]) -> np.ndarray:
+def build_covariance(inner_polys: list[SymTensor]) -> np.ndarray:
     r = len(inner_polys)
     sig = np.zeros((r, r))
     for i in range(r):
         for j in range(i, r):
             a, b = inner_polys[i], inner_polys[j]
-            if a.level == b.level and a.level >= 1:
-                v = math.factorial(a.level) * tensor_inner(a.tensor, b.tensor)
+            if a.order == b.order and a.order >= 1:
+                v = math.factorial(a.order) * tensor_inner(a, b)
             else:
                 v = 0.0
             sig[i, j] = sig[j, i] = v
@@ -146,13 +146,12 @@ def _gaussian_factor(sigma: np.ndarray) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def integrate_gaussian(h: Polynomial, sigma: np.ndarray, log2_n: int,
-                       seed: int) -> tuple[float, dict]:
+def integrate_gaussian(h: Polynomial, sigma: np.ndarray) -> tuple[float, dict]:
     """Pr[h(Y) >= 0] for Y ~ N(0, sigma), with Y = L t whitened once.
 
     Rank 0 reads the sign of h(0), and rank 1 is exact in closed form: h(L t)
     is univariate in t ~ N(0, 1).  From rank 2 up the sharp indicator is
-    averaged over 2^log2_n scrambled Sobol points.
+    averaged over 2^QMC_LOG2_N Sobol points scrambled with seed QMC_SEED.
     """
     L = _gaussian_factor(sigma)
     rank = L.shape[1]
@@ -166,22 +165,21 @@ def integrate_gaussian(h: Polynomial, sigma: np.ndarray, log2_n: int,
             ht[key] = ht.get(key, 0.0) + v * math.prod(L[i - 1, 0] for i in k)
         return univariate_probability(Polynomial(1, ht), 1.0), \
             {"rank": 1, "points": 0}
-    return _qmc_sharp(h, L, log2_n, seed)
+    return _qmc_sharp(h, L)
 
 
-def _qmc_sharp(phi: Polynomial, L: np.ndarray, log2_n: int,
-               seed: int) -> tuple[float, dict]:
+def _qmc_sharp(phi: Polynomial, L: np.ndarray) -> tuple[float, dict]:
     import scipy.special
     import scipy.stats
     rank = L.shape[1]
-    eng = scipy.stats.qmc.Sobol(d=rank, scramble=True, seed=seed)
-    u = eng.random(1 << log2_n)
+    eng = scipy.stats.qmc.Sobol(d=rank, scramble=True, seed=QMC_SEED)
+    u = eng.random(1 << QMC_LOG2_N)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     zs = scipy.special.ndtri(u)
     x = zs @ L.T
     vals = phi.evaluate(x)
     return float(np.mean(vals >= 0.0)), {"rank": rank,
-                                         "points": int(1 << log2_n)}
+                                         "points": 1 << QMC_LOG2_N}
 
 
 def univariate_probability(h: Polynomial, var: float) -> float:
@@ -415,7 +413,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
     dec = regularize_poly(normal, eps)
     r = len(dec.inner)
     diag["r"] = r
-    diag["inner_levels"] = [ip.level for ip in dec.inner]
+    diag["inner_levels"] = [t.order for t in dec.inner]
     diag["inner_eigenregularity"] = dec.eigen
     budget["decomposition_var_gap"] = dec.var_gap
     if dec.var_gap > 0.0:
@@ -436,11 +434,11 @@ def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
         budget["covariance_rounding"] = (2.0 * c * r
                                          * (PSD_DELTA + 3.0 * math.sqrt(
                                              PSD_DELTA * snorm)))
-    if any(ip.level >= 2 for ip in dec.inner):
-        cost = sum(len(ip.tensor.coeffs) for ip in dec.inner) ** 2
+    if any(t.order >= 2 for t in dec.inner):
+        cost = sum(len(t.coeffs) for t in dec.inner) ** 2
         if cost <= 4 * 10 ** 6:
             cert = clt_error_certificate(
-                [single_level(ip.tensor) for ip in dec.inner],
+                [single_level(t) for t in dec.inner],
                 alpha_dd=4.0 * c * c)
             budget["clt_certificate"] = cert.bound
         else:
@@ -448,7 +446,7 @@ def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
         worst = max(dec.eigen) if dec.eigen else 0.0
         budget["clt_heuristic"] = math.sqrt(worst)
 
-    val, qinfo = integrate_gaussian(dec.h, sigma, QMC_LOG2_N, QMC_SEED)
+    val, qinfo = integrate_gaussian(dec.h, sigma)
     diag["quadrature"] = qinfo
     if qinfo["rank"] <= 1:
         method = "closed_form"

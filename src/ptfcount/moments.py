@@ -23,8 +23,7 @@ from .boolean import ENUM_VARS, count_boolean, hypercube_values
 RAW_TERM_CAP = 2_000_000
 
 
-def exact_raw_moment(p: Polynomial, k: int,
-                     term_cap: int = RAW_TERM_CAP) -> float:
+def exact_raw_moment(p: Polynomial, k: int) -> float:
     """E[p(x)^k] for x uniform on {-1,1}^n, exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -32,8 +31,8 @@ def exact_raw_moment(p: Polynomial, k: int,
     base = acc
     for _ in range(k - 1):
         acc = acc.mul(base).hypercube_reduce()
-        if len(acc.coeffs) > term_cap:
-            raise RuntimeError(f"expansion exceeds {term_cap} terms")
+        if len(acc.coeffs) > RAW_TERM_CAP:
+            raise RuntimeError(f"expansion exceeds {RAW_TERM_CAP} terms")
     return acc.constant_term()
 
 

@@ -21,10 +21,6 @@ class Polynomial:
     def constant(c: float, dim: int = 0) -> "Polynomial":
         return Polynomial(dim, {(): c} if c != 0.0 else {})
 
-    @staticmethod
-    def variable(i: int, dim: int | None = None) -> "Polynomial":
-        return Polynomial(dim if dim is not None else i, {(i,): 1.0})
-
     def degree(self) -> int:
         return max((len(k) for k in self.coeffs), default=0)
 

@@ -10,10 +10,16 @@ need it.
 Contractions of two symmetric tensors are not symmetric, but they are
 separately symmetric in their row block and column block, so raw contraction
 results are stored as dicts keyed by (sorted left block, sorted right block).
+
+Contractions, flattenings and the decomposition's partition terms all walk
+the sub-multisets of a key through sub_multisets, which yields them in
+lexicographic order.  Their sums are taken in that order, so every answer
+downstream, to the last bit, depends on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -52,39 +58,19 @@ def orbit_size(key: tuple[int, ...]) -> int:
 
 
 def sub_multisets(key: tuple[int, ...], r: int):
-    """Yield (u, rest) for each distinct size-r sub-multiset u of key.
+    """(u, rest) for each distinct size-r sub-multiset u of a sorted key.
 
-    Both u and rest come out sorted.  Each distinct u is produced exactly
-    once.
+    Both u and rest come out sorted, and the pairs come in lexicographic
+    order of u (see the module docstring).  Equal u need not be adjacent
+    among the combinations (in (1, 1, 2, 4, 4, 4, 4) with r = 2, (1, 2)
+    recurs after (1, 4)), hence the set and the sort.
     """
-    distinct: list[tuple[int, int]] = []
-    for x in key:
-        if distinct and distinct[-1][0] == x:
-            distinct[-1] = (x, distinct[-1][1] + 1)
-        else:
-            distinct.append((x, 1))
-
     out = []
-
-    def rec(pos: int, remaining: int, chosen: list[int]):
-        if remaining == 0:
-            u = tuple(chosen)
-            taken = dict()
-            for c in chosen:
-                taken[c] = taken.get(c, 0) + 1
-            rest = []
-            for val, cnt in distinct:
-                rest.extend([val] * (cnt - taken.get(val, 0)))
-            out.append((u, tuple(rest)))
-            return
-        if pos == len(distinct):
-            return
-        val, cnt = distinct[pos]
-        lo = max(0, remaining - sum(c for _, c in distinct[pos + 1:]))
-        for take in range(min(cnt, remaining), lo - 1, -1):
-            rec(pos + 1, remaining - take, chosen + [val] * take)
-
-    rec(0, r, [])
+    for u in sorted(set(itertools.combinations(key, r))):
+        rest = list(key)
+        for x in u:
+            rest.remove(x)
+        out.append((u, tuple(rest)))
     return out
 
 
@@ -114,8 +100,8 @@ class SymTensor:
         t.prune()
         return t
 
-    def prune(self, rel_tol: float = PRUNE_REL_TOL) -> "SymTensor":
-        cut = rel_tol * math.sqrt(self.norm_sq()) if self.coeffs else 0.0
+    def prune(self) -> "SymTensor":
+        cut = PRUNE_REL_TOL * math.sqrt(self.norm_sq()) if self.coeffs else 0.0
         self.coeffs = {k: v for k, v in self.coeffs.items() if abs(v) > cut}
         return self
 
@@ -142,7 +128,6 @@ class SymTensor:
 
     def to_dense(self) -> np.ndarray:
         """Expand to a dense numpy array of shape (dim,)*order (0-based)."""
-        import itertools
         a = np.zeros((self.dim,) * self.order)
         for k, v in self.coeffs.items():
             seen = set()
@@ -160,23 +145,6 @@ def inner(f: SymTensor, g: SymTensor) -> float:
     a, b = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) \
         else (g.coeffs, f.coeffs)
     return sum(orbit_size(k) * v * b[k] for k, v in a.items() if k in b)
-
-
-def symmetrize(raw: dict[tuple[int, ...], float], order: int,
-               dim: int) -> SymTensor:
-    """Symmetrize a raw tensor given as {index tuple: entry}.
-
-    Sym(t)(i_1..i_q) averages t over all q! orderings, which for a canonical
-    key equals the mean of t over the distinct arrangements of that key.
-    """
-    acc: dict[tuple[int, ...], float] = {}
-    for idx, v in raw.items():
-        k = tuple(sorted(idx))
-        acc[k] = acc.get(k, 0.0) + v
-    out = {k: v / orbit_size(k) for k, v in acc.items()}
-    t = SymTensor(order, dim, out)
-    t.prune()
-    return t
 
 
 BlockDict = dict[tuple[tuple[int, ...], tuple[int, ...]], float]
@@ -243,7 +211,6 @@ class Flattening:
     n^k x n^{q-k} flattening, and full singular vectors are recovered by
     spreading u(s)/sqrt(orbit(s)) across the orbit of s.
     """
-    split_at: int
     row_keys: list[tuple[int, ...]]
     col_keys: list[tuple[int, ...]]
     matrix: scipy.sparse.csr_matrix
@@ -267,7 +234,7 @@ def flattening(f: SymTensor, k: int) -> Flattening:
     import scipy.sparse
     m = scipy.sparse.csr_matrix(
         (vals, (ri, ci)), shape=(max(len(rows), 1), max(len(cols), 1)))
-    return Flattening(k, list(rows.keys()), list(cols.keys()), m)
+    return Flattening(list(rows.keys()), list(cols.keys()), m)
 
 
 @dataclass

@@ -40,7 +40,7 @@ def test_split_anchor_x1x2():
     assert not out.eigenregular
     assert out.c == pytest.approx(1.0)
     assert var_of(out.remainder) == pytest.approx(0.0, abs=1e-12)
-    assert out.p.level == 1 and out.q.level == 1
+    assert out.p.order == 1 and out.q.order == 1
 
 
 def test_split_eigenregular_contract():
@@ -67,8 +67,8 @@ def test_split_disjoint_support(rng):
         out = split_one_wiener(f, 0.1)
         if out.eigenregular:
             continue
-        sup_p = out.p.tensor.support_vars()
-        sup_q = out.q.tensor.support_vars()
+        sup_p = out.p.support_vars()
+        sup_q = out.q.support_vars()
         assert not (sup_p & sup_q)
 
 
@@ -189,7 +189,7 @@ def test_regularize_poly_x1x2():
     chaos = to_chaos(Polynomial(2, {(1, 2): 1.0}))
     dec = regularize_poly(chaos, 0.05)
     assert dec.var_gap <= 1e-12
-    assert sorted(ip.level for ip in dec.inner) == [1, 1]
+    assert sorted(t.order for t in dec.inner) == [1, 1]
     # outer polynomial is the product of its two arguments plus scaling
     assert dec.h.degree() == 2
 
@@ -208,9 +208,9 @@ def test_regularize_poly_var_gap_bound(rng):
         var = chaos.variance()
         dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)), 0.05)
         assert dec.var_gap <= 0.05 + 1e-9
-        for ip, e in zip(dec.inner, dec.eigen):
-            assert var_of(ip.tensor) == pytest.approx(1.0, rel=1e-9)
-            if ip.level <= 1:
+        for t, e in zip(dec.inner, dec.eigen):
+            assert var_of(t) == pytest.approx(1.0, rel=1e-9)
+            if t.order <= 1:
                 assert e == 0.0
 
 
@@ -218,7 +218,7 @@ def test_degree_one_passthrough():
     chaos = to_chaos(Polynomial(2, {(1,): 1.0}))
     dec = regularize_poly(chaos, 0.05)
     assert len(dec.inner) == 1
-    assert dec.inner[0].level == 1
+    assert dec.inner[0].order == 1
     assert dec.eigen == [0.0]
     assert dec.var_gap <= 1e-12
 

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptfcount.tensors import (
     SymTensor,
-    contract,
     contract_sym,
     eigenregularity,
     flattening,
@@ -14,7 +13,6 @@ from ptfcount.tensors import (
     lambda_max,
     orbit_size,
     sub_multisets,
-    symmetrize,
 )
 from ptfcount.oracles import brute_lambda_max
 
@@ -35,16 +33,30 @@ def test_sub_multisets():
     assert subs == {(1, 2): ()}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), max_size=8))
+@example([1, 1, 2, 4, 4, 4, 4])
+def test_sub_multisets_lexicographic_order(key):
+    # Contractions, flattenings and partition terms sum in this order, so
+    # it is pinned: the distinct sub-multisets in sorted order, each with
+    # its complement.  In (1, 1, 2, 4, 4, 4, 4) equal combinations are not
+    # adjacent: at r = 2, (1, 2) recurs after (1, 4).
+    import itertools
+    from collections import Counter
+    key = tuple(sorted(key))
+    for r in range(len(key) + 2):
+        want = [(u, tuple(sorted((Counter(key) - Counter(u)).elements())))
+                for u in sorted(set(itertools.combinations(key, r)))]
+        got = sub_multisets(key, r)
+        assert got == want
+        if r > len(key):
+            assert got == []
+
+
 def test_norm_orbit_weighting():
     f = SymTensor(2, 3, {(1, 2): 1.0, (3, 3): 2.0})
     # off-diagonal key counts twice, diagonal once
     assert f.norm_sq() == pytest.approx(2.0 + 4.0)
-
-
-def test_symmetrize_raw():
-    raw = {(1, 2): 1.0, (2, 1): 3.0}
-    f = symmetrize(raw, 2, 2)
-    assert f.coeffs[(1, 2)] == pytest.approx(2.0)
 
 
 def test_inner_matches_dense(rng):
