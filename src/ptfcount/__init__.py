@@ -19,6 +19,7 @@ from .chaos import (
     clt_error_certificate,
 )
 from .multilinear import linearize
+from .decomposition import regularize_poly
 from .gaussian import count_gaussian
 from .boolean import count_boolean
 from .moments import exact_raw_moment, absolute_moment
@@ -37,6 +38,7 @@ __all__ = [
     "malliavin_second_moment",
     "clt_error_certificate",
     "linearize",
+    "regularize_poly",
     "count_gaussian",
     "count_boolean",
     "exact_raw_moment",

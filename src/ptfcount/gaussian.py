@@ -23,17 +23,21 @@ Chernoff bound on the tail at 0 opposite the constant's sign is already
 that small, the constant's sign is returned with that bound instead.
 Nothing is linearized, decomposed or rounded on this route.
 
-From degree 3 up the paper's pipeline runs: make the polynomial
-multilinear (linearize), rewrite it as an outer polynomial h over a few
-inner polynomials that are each exactly Gaussian or eigenregular
-(regularize_poly), and replace the joint law of the inner polynomials by
-N(0, Sigma) with Sigma their exact covariance matrix.
-With two or more inner polynomials Sigma is rounded to a rational PSD
-matrix.  One integrator, integrate_gaussian, then gives Pr[h(Y) >= 0] for
-Y ~ N(0, Sigma): when Sigma has rank <= 1, h is univariate along its one
-direction and the answer is read off in closed form from the real roots
-and the normal CDF; from rank 2 up the sharp indicator of {h >= 0} is
-averaged over a fixed-seed scrambled Sobol sequence, and reported as such.
+From degree 3 up, integrate_gaussian integrates p itself: it relabels the m
+variables p touches as 1..m and returns the sign of the constant at m = 0,
+the closed form of univariate_probability at m = 1, and from m = 2 up the
+sharp indicator of {p >= 0} averaged over a fixed-seed scrambled Sobol
+sequence, reported as such.  The paper's route (linearize, the
+decomposition into eigenregular inner polynomials, the CLT and a Gaussian
+integral over their covariance Sigma) is not on this path.  It stays in the
+library and behind the decompose, eigreg and clt-bound commands.  A census
+of the criterion-5 inputs and wide sparse draws found that it buys nothing
+here: its certificates read 10^5 to 10^7, far above any eps; at an
+eps-derived regularity target every inner polynomial ends at level 1 with
+r >= n, so it no longer reduces dimension; and at a looser target it
+accepted level-3/4 remainders at eigenregularity 0.1 as Gaussian and
+missed by up to 0.1.  The same Sobol points on p came within 0.0015 of a
+2*10^6-sample Monte Carlo on all 17 degree >= 3 criterion-5 inputs.
 """
 
 from __future__ import annotations
@@ -47,24 +51,13 @@ import numpy as np
 # counts and moments that never reach a Gaussian leaf should not pay
 
 from .polynomials import Polynomial
-from .chaos import to_chaos, clt_error_certificate, single_level
-from .decomposition import regularize_poly
-from .multilinear import linearize
 from .tensors import SymTensor, inner as tensor_inner
 
 
-# The paper's CLT bound and the covariance-rounding bound are stated for the
-# indicator of {h >= 0} smoothed at scale 1/c, with c = SMOOTHING_PER_INNER
-# * r, so clt_certificate (alpha_dd = 4 c^2) and covariance_rounding read
-# c.  The integrator itself uses the sharp indicator.
-SMOOTHING_PER_INNER = 16.0
-
-# From rank 2 up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol points
-# scrambled with seed QMC_SEED.
+# From two variables up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol
+# points scrambled with seed QMC_SEED.
 QMC_LOG2_N = 17
 QMC_SEED = 0
-# Covariance rounding resolution of round_psd.
-PSD_DELTA = 1e-12
 
 # Degree <= 2 (count_quadratic): the quadrature's certified error target is
 # eps * QUADRATIC_TARGET, split evenly between discretisation and truncation.
@@ -96,7 +89,9 @@ class CountResult:
 
 
 # ---------------------------------------------------------------------------
-# covariance and its rounding
+# covariance and its rounding: the covariance Sigma of the paper's inner
+# polynomials, off the count path.  perfbench/tracer.py still wraps both by
+# name.
 # ---------------------------------------------------------------------------
 
 def build_covariance(inner_polys: list[SymTensor]) -> np.ndarray:
@@ -139,47 +134,35 @@ def round_psd(sigma: np.ndarray, delta: float) -> tuple[np.ndarray, dict]:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _gaussian_factor(sigma: np.ndarray) -> np.ndarray:
-    """L with L L^T = sigma, columns only for non-negligible eigenvalues."""
-    w, v = np.linalg.eigh(sigma)
-    keep = w > 1e-12 * max(float(w[-1]), 1.0)
-    return v[:, keep] * np.sqrt(w[keep])
+def integrate_gaussian(h: Polynomial) -> tuple[float, dict]:
+    """Pr[h(x) >= 0] for x ~ N(0, I) on the m variables h touches.
 
-
-def integrate_gaussian(h: Polynomial, sigma: np.ndarray) -> tuple[float, dict]:
-    """Pr[h(Y) >= 0] for Y ~ N(0, sigma), with Y = L t whitened once.
-
-    Rank 0 reads the sign of h(0), and rank 1 is exact in closed form: h(L t)
-    is univariate in t ~ N(0, 1).  From rank 2 up the sharp indicator is
-    averaged over 2^QMC_LOG2_N Sobol points scrambled with seed QMC_SEED.
+    Those variables are relabelled 1..m.  m = 0 reads the sign of the
+    constant, and m = 1 is exact in closed form by univariate_probability.
+    From m = 2 up the sharp indicator is averaged over 2^QMC_LOG2_N Sobol
+    points scrambled with seed QMC_SEED.
     """
-    L = _gaussian_factor(sigma)
-    rank = L.shape[1]
-    if rank == 0:
+    support = sorted(h.support_vars())
+    m = len(support)
+    if m == 0:
         return (1.0 if h.constant_term() >= 0.0 else 0.0), \
-            {"rank": 0, "points": 1}
-    if rank == 1:
-        ht: dict[tuple[int, ...], float] = {}
-        for k, v in h.coeffs.items():
-            key = (1,) * len(k)
-            ht[key] = ht.get(key, 0.0) + v * math.prod(L[i - 1, 0] for i in k)
-        return univariate_probability(Polynomial(1, ht), 1.0), \
-            {"rank": 1, "points": 0}
-    return _qmc_sharp(h, L)
+            {"m": 0, "points": 1}
+    pos = {v: j for j, v in enumerate(support, start=1)}
+    h = Polynomial(m, {tuple(pos[i] for i in k): v
+                       for k, v in h.coeffs.items()})
+    if m == 1:
+        return univariate_probability(h, 1.0), {"m": 1, "points": 0}
+    return _qmc_sharp(h, m)
 
 
-def _qmc_sharp(phi: Polynomial, L: np.ndarray) -> tuple[float, dict]:
+def _qmc_sharp(phi: Polynomial, m: int) -> tuple[float, dict]:
     import scipy.special
     import scipy.stats
-    rank = L.shape[1]
-    eng = scipy.stats.qmc.Sobol(d=rank, scramble=True, seed=QMC_SEED)
+    eng = scipy.stats.qmc.Sobol(d=m, scramble=True, seed=QMC_SEED)
     u = eng.random(1 << QMC_LOG2_N)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    zs = scipy.special.ndtri(u)
-    x = zs @ L.T
-    vals = phi.evaluate(x)
-    return float(np.mean(vals >= 0.0)), {"rank": rank,
-                                         "points": 1 << QMC_LOG2_N}
+    vals = phi.evaluate(scipy.special.ndtri(u))
+    return float(np.mean(vals >= 0.0)), {"m": m, "points": 1 << QMC_LOG2_N}
 
 
 def univariate_probability(h: Polynomial, var: float) -> float:
@@ -389,72 +372,15 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
 # ---------------------------------------------------------------------------
 
 def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
-    """Pr[p(x) >= 0] for x ~ N(0,1)^n: count_quadratic at degree <= 2, the
-    decomposition pipeline from degree 3 up."""
-    d = p.degree()
-    if d <= 2:
+    """Pr[p(x) >= 0] for x ~ N(0,1)^n: count_quadratic at degree <= 2,
+    integrate_gaussian on p itself from degree 3 up."""
+    if p.degree() <= 2:
         return count_quadratic(p, eps)
-    budget: dict = {}
-    diag: dict = {}
-    work = p
-    if any(len(set(k)) != len(k) for k in p.coeffs):
-        lin = linearize(p, delta=eps)
-        work = lin.poly
-        budget["linearize_var_ratio"] = lin.var_bound
-        diag["linearize_K"] = lin.K
-    chaos = to_chaos(work)
-    mu = chaos.mean()
-    var = chaos.variance()
-    if var <= 0.0:
-        return CountResult(1.0 if mu >= 0.0 else 0.0, eps, "constant",
-                           budget, diag)
-
-    normal = chaos.scale(1.0 / math.sqrt(var))
-    dec = regularize_poly(normal, eps)
-    r = len(dec.inner)
-    diag["r"] = r
-    diag["inner_levels"] = [t.order for t in dec.inner]
-    diag["inner_eigenregularity"] = dec.eigen
-    budget["decomposition_var_gap"] = dec.var_gap
-    if dec.var_gap > 0.0:
-        budget["decomposition_sign_flip"] = min(
-            1.0, d * dec.var_gap ** (1.0 / (3.0 * d)))
-
-    if r == 0:
-        val = 1.0 if dec.h.constant_term() >= 0.0 else 0.0
-        budget["total"] = sum(budget.values())
-        return CountResult(val, eps, "constant", budget, diag)
-
-    c = SMOOTHING_PER_INNER * r
-    sigma = build_covariance(dec.inner)
-    if r >= 2:
-        snorm = float(np.linalg.norm(sigma, 2))
-        sigma, psd_info = round_psd(sigma, PSD_DELTA)
-        diag["psd"] = psd_info
-        budget["covariance_rounding"] = (2.0 * c * r
-                                         * (PSD_DELTA + 3.0 * math.sqrt(
-                                             PSD_DELTA * snorm)))
-    if any(t.order >= 2 for t in dec.inner):
-        cost = sum(len(t.coeffs) for t in dec.inner) ** 2
-        if cost <= 4 * 10 ** 6:
-            cert = clt_error_certificate(
-                [single_level(t) for t in dec.inner],
-                alpha_dd=4.0 * c * c)
-            budget["clt_certificate"] = cert.bound
-        else:
-            diag["clt_certificate"] = "skipped (support too large)"
-        worst = max(dec.eigen) if dec.eigen else 0.0
-        budget["clt_heuristic"] = math.sqrt(worst)
-
-    val, qinfo = integrate_gaussian(dec.h, sigma)
-    diag["quadrature"] = qinfo
-    if qinfo["rank"] <= 1:
-        method = "closed_form"
+    val, qinfo = integrate_gaussian(p)
+    if qinfo["m"] <= 1:
+        method, budget = "closed_form", {"total": 0.0}
     else:
-        method = "qmc"
-        budget["qmc_resolution"] = 4.0 / math.sqrt(qinfo["points"])
-
-    budget["total"] = float(sum(v for v in budget.values()
-                                if isinstance(v, (int, float))))
+        res = 4.0 / math.sqrt(qinfo["points"])
+        method, budget = "qmc", {"qmc_resolution": res, "total": res}
     return CountResult(float(min(max(val, 0.0), 1.0)), eps, method, budget,
-                       diag)
+                       {"quadrature": qinfo})

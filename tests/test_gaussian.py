@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import k0
 from scipy.stats import chi2, ncx2, norm
 
+import ptfcount
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
     build_covariance,
@@ -44,15 +49,15 @@ def test_square_anchor():
     res = count_gaussian(p, 0.05)
     assert res.method == "quadratic_form"
     assert res.value == pytest.approx(2.0 * norm.cdf(-1.0), abs=1e-9)
-    # from degree 3 up a repeated variable still goes through linearize
+    # from degree 3 up a repeated variable is integrated as it stands, over
+    # the two variables p touches
     res = count_gaussian(Polynomial(2, {(1, 1, 2): 1.0, (): 0.2}), 0.05)
-    assert "linearize_var_ratio" in res.budget
+    assert res.diagnostics["quadrature"]["m"] == 2
 
 
 def test_budget_keys_present():
     res = count_gaussian(Polynomial(3, {(1, 2, 3): 1.0, (): 0.3}), 0.05)
-    assert "total" in res.budget
-    assert "decomposition_var_gap" in res.budget
+    assert set(res.budget) == {"qmc_resolution", "total"}
     assert res.budget["total"] >= 0.0
 
 
@@ -79,24 +84,23 @@ def test_build_covariance_levels():
 
 def test_integrate_gaussian_halves_symmetric():
     phi = Polynomial(1, {(1,): 1.0})
-    val, info = integrate_gaussian(phi, np.array([[1.0]]))
+    val, info = integrate_gaussian(phi)
     assert val == pytest.approx(0.5, abs=0.005)
 
 
 def test_integrate_gaussian_rank_one_closed_form():
-    # y1 + y2 - 1 with y1 = y2 ~ N(0, 1) is 2 t - 1: Pr = Phi(-1/2)
-    h = Polynomial(2, {(1,): 1.0, (2,): 1.0, (): -1.0})
-    val, info = integrate_gaussian(h, np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert info["rank"] == 1
-    assert val == pytest.approx(norm.cdf(-0.5), abs=1e-12)
-    # y1 y2 + y2 - 1 with y2 = 2 y1 = 2 t is 2 t^2 + 2 t - 1, whose roots
-    # are (-1 -+ sqrt 3) / 2
-    h = Polynomial(2, {(1, 2): 1.0, (2,): 1.0, (): -1.0})
-    val, info = integrate_gaussian(h, np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # a polynomial in x2 alone is relabelled to one variable and read off
+    # its roots: 2 t^2 + 2 t - 1 has roots (-1 -+ sqrt 3) / 2
+    h = Polynomial(2, {(2, 2): 2.0, (2,): 2.0, (): -1.0})
+    val, info = integrate_gaussian(h)
     s3 = math.sqrt(3.0)
     want = norm.cdf((-1.0 - s3) / 2.0) + norm.sf((-1.0 + s3) / 2.0)
-    assert info["rank"] == 1
+    assert info["m"] == 1
     assert val == pytest.approx(want, abs=1e-12)
+    # x2^3 >= 1 exactly when x2 >= 1
+    res = count_gaussian(Polynomial(3, {(2, 2, 2): 1.0, (): -1.0}), 0.05)
+    assert res.method == "closed_form"
+    assert res.value == pytest.approx(norm.cdf(-1.0), abs=1e-12)
 
 
 def test_two_inner_polynomials_sobol():
@@ -104,8 +108,8 @@ def test_two_inner_polynomials_sobol():
     # Pr[y1 y2 + 0.3 >= 0] = 1/2 + (1/pi) int_0^0.3 K_0
     want = 0.5 + quad(k0, 0.0, 0.3)[0] / math.pi
     h = Polynomial(2, {(1, 2): 1.0, (): 0.3})
-    val, info = integrate_gaussian(h, np.eye(2))
-    assert info["rank"] == 2
+    val, info = integrate_gaussian(h)
+    assert info["m"] == 2
     assert val == pytest.approx(want, abs=1e-4)
 
 
@@ -129,19 +133,15 @@ def test_one_inner_polynomial_closed_form():
     res = count_boolean(p, 0.05)
     assert res.diagnostics["leaf_kinds"]["regular"] == 1
     assert res.value == pytest.approx(want, abs=1e-9)
-    # 30 disjoint triple products minus 1 decompose to one eigenregular
-    # inner polynomial of variance 30, read off in closed form
+    # 30 disjoint triple products minus 1: the CLT limit Phi(-1/sqrt 30) =
+    # 0.4276 is 0.007 off the probability, which Monte Carlo measures
     k = 30
     p = Polynomial(3 * k, {(3 * i + 1, 3 * i + 2, 3 * i + 3): 1.0
                            for i in range(k)})
     p.coeffs[()] = -1.0
     res = count_gaussian(p, 0.05)
-    assert res.method == "closed_form"
-    assert res.diagnostics["r"] == 1
-    assert res.value == pytest.approx(norm.cdf(-1.0 / math.sqrt(k)),
-                                      abs=1e-9)
-    # Sigma is rounded only from two inner polynomials up
-    assert "covariance_rounding" not in res.budget
+    mc = mc_gaussian(p, 10 ** 6)
+    assert abs(res.value - mc.value) <= 0.05
 
 
 def test_qmc_fallback_deterministic():
@@ -151,7 +151,7 @@ def test_qmc_fallback_deterministic():
         r2 = count_gaussian(p, 0.05)
         assert r1.value == r2.value
         assert r1.method == "qmc"
-        assert r1.diagnostics["r"] >= 2
+        assert r1.diagnostics["quadrature"]["m"] >= 2
 
 
 def test_random_corpus_vs_mc(rng):
@@ -161,6 +161,41 @@ def test_random_corpus_vs_mc(rng):
         res = count_gaussian(p, 0.05)
         mc = mc_gaussian(p, 300_000, seed=50 + i)
         assert abs(res.value - mc.value) <= 0.05 + 4 * mc.stderr
+
+
+@pytest.mark.parametrize("i", [5, 8])
+def test_criterion_5_stream_members(i):
+    # members the paper's decomposition route missed by 0.098 (i = 5) and
+    # 0.068 (i = 8): it took a level-4 inner polynomial at eigenregularity
+    # 0.1 for Gaussian
+    rng = np.random.default_rng(1005)
+    stream = [random_polynomial(rng, d=[2, 3, 4][j % 3], n=8, terms=6,
+                                multilinear=(j % 2 == 0)) for j in range(9)]
+    p = stream[i]
+    res = count_gaussian(p, 0.05)
+    mc = mc_gaussian(p, 10 ** 6)
+    assert abs(res.value - mc.value) <= 0.05 + 4 * mc.stderr
+
+
+def test_answer_independent_of_blas_threads():
+    # an input whose answer once hung on eigh's basis of a degenerate
+    # eigenspace, and so on the BLAS thread count
+    code = ("from ptfcount.polynomials import Polynomial\n"
+            "from ptfcount.gaussian import count_gaussian\n"
+            "p = Polynomial(8, {(1, 1, 1): 1.0, (2,): 1.3275, (2, 4): 0.2357,"
+            " (5, 5): -1.4422, (6, 6): -0.6196, (8,): -0.2541,"
+            " (): -0.2905})\n"
+            "print(count_gaussian(p, 0.05).value.hex())\n")
+    src = str(Path(ptfcount.__file__).resolve().parents[1])
+    answers = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        answers.append(out.stdout.strip())
+    assert answers[0] == answers[1]
 
 
 def _sum_squares(n, shift=0.0, sign=1.0, centre=None):
