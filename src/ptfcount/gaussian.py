@@ -27,21 +27,25 @@ From degree 3 up, integrate_gaussian integrates p itself: it relabels the m
 variables p touches as 1..m and returns the sign of the constant at m = 0,
 the closed form of univariate_probability at m = 1, and from m = 2 up the
 sharp indicator of {p >= 0} averaged over a fixed-seed scrambled Sobol
-sequence, reported as such.  The paper's route (linearize, the
-decomposition into eigenregular inner polynomials, the CLT and a Gaussian
-integral over their covariance Sigma) is not on this path.  It stays in the
-library and behind the decompose, eigreg and clt-bound commands.  A census
-of the criterion-5 inputs and wide sparse draws found that it buys nothing
-here: its certificates read 10^5 to 10^7, far above any eps; at an
-eps-derived regularity target every inner polynomial ends at level 1 with
-r >= n, so it no longer reduces dimension; and at a looser target it
-accepted level-3/4 remainders at eigenregularity 0.1 as Gaussian and
-missed by up to 0.1.  The same Sobol points on p came within 0.0015 of a
+sequence, reported as such.  The 2^QMC_LOG2_N normal points depend on m
+alone, so _sobol_normals builds each m's table once per process (m MiB,
+column-major, read-only; the four most recently used m are kept) and every
+call on m variables evaluates p on that same table.  The paper's route
+(linearize, the decomposition into eigenregular inner polynomials, the CLT
+and a Gaussian integral over their covariance Sigma) is not on this path.
+It stays in the library and behind the decompose, eigreg and clt-bound
+commands.  A census of the criterion-5 inputs and wide sparse draws found
+that it buys nothing here: its certificates read 10^5 to 10^7, far above any
+eps; at an eps-derived regularity target every inner polynomial ends at
+level 1 with r >= n, so it no longer reduces dimension; and at a looser
+target it accepted level-3/4 remainders at eigenregularity 0.1 as Gaussian
+and missed by up to 0.1.  The same Sobol points on p came within 0.0015 of a
 2*10^6-sample Monte Carlo on all 17 degree >= 3 criterion-5 inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +62,10 @@ from .tensors import SymTensor, inner as tensor_inner
 # points scrambled with seed QMC_SEED.
 QMC_LOG2_N = 17
 QMC_SEED = 0
+# Sobol points drawn and mapped per call while filling _sobol_normals's table.
+# The chunks give the points of one full draw; a power of two divides
+# 2^QMC_LOG2_N and keeps scipy from warning about Sobol's balance.
+SOBOL_CHUNK = 1 << 12
 
 # Degree <= 2 (count_quadratic): the quadrature's certified error target is
 # eps * QUADRATIC_TARGET, split evenly between discretisation and truncation.
@@ -140,7 +148,9 @@ def integrate_gaussian(h: Polynomial) -> tuple[float, dict]:
     Those variables are relabelled 1..m.  m = 0 reads the sign of the
     constant, and m = 1 is exact in closed form by univariate_probability.
     From m = 2 up the sharp indicator is averaged over 2^QMC_LOG2_N Sobol
-    points scrambled with seed QMC_SEED.
+    points scrambled with seed QMC_SEED, mapped to normals once per process
+    for each m by _sobol_normals, so the answer does not depend on which
+    calls came before.
     """
     support = sorted(h.support_vars())
     m = len(support)
@@ -156,13 +166,32 @@ def integrate_gaussian(h: Polynomial) -> tuple[float, dict]:
 
 
 def _qmc_sharp(phi: Polynomial, m: int) -> tuple[float, dict]:
+    vals = phi.evaluate(_sobol_normals(m))
+    return float(np.mean(vals >= 0.0)), {"m": m, "points": 1 << QMC_LOG2_N}
+
+
+@functools.lru_cache(maxsize=4)
+def _sobol_normals(m: int) -> np.ndarray:
+    """The 2^QMC_LOG2_N scrambled Sobol points in m dimensions, mapped to
+    N(0, I) by ndtri, as a read-only (2^QMC_LOG2_N, m) array.
+
+    It depends on m alone, so it is drawn once per process for each of the
+    four most recently used m.  The array is Fortran-ordered, so
+    Polynomial.evaluate's x[:, i-1] reads one contiguous column, and it is
+    filled SOBOL_CHUNK rows at a time, so filling it needs no second
+    full-size array.
+    """
     import scipy.special
     import scipy.stats
     eng = scipy.stats.qmc.Sobol(d=m, scramble=True, seed=QMC_SEED)
-    u = eng.random(1 << QMC_LOG2_N)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    vals = phi.evaluate(scipy.special.ndtri(u))
-    return float(np.mean(vals >= 0.0)), {"m": m, "points": 1 << QMC_LOG2_N}
+    n = 1 << QMC_LOG2_N
+    table = np.empty((n, m), order="F")
+    for lo in range(0, n, SOBOL_CHUNK):
+        u = eng.random(SOBOL_CHUNK)
+        np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+        scipy.special.ndtri(u, out=table[lo:lo + SOBOL_CHUNK])
+    table.setflags(write=False)
+    return table
 
 
 def univariate_probability(h: Polynomial, var: float) -> float:

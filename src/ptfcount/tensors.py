@@ -19,6 +19,7 @@ downstream, to the last bit, depends on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,8 +41,12 @@ PRUNE_REL_TOL = 1e-12
 _DENSE_SVD_CAP = 250_000
 
 
+@functools.lru_cache(maxsize=None)
 def orbit_size(key: tuple[int, ...]) -> int:
-    """Number of distinct arrangements of a sorted multi-index."""
+    """Number of distinct arrangements of a sorted multi-index.
+
+    Cached, since it depends on the key alone and the same keys and
+    sub-multisets recur in every norm and at every split."""
     if not key:
         return 1
     total = math.factorial(len(key))

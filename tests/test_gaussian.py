@@ -13,6 +13,9 @@ from scipy.stats import chi2, ncx2, norm
 import ptfcount
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
+    QMC_LOG2_N,
+    QMC_SEED,
+    _sobol_normals,
     build_covariance,
     count_gaussian,
     integrate_gaussian,
@@ -152,6 +155,47 @@ def test_qmc_fallback_deterministic():
         assert r1.value == r2.value
         assert r1.method == "qmc"
         assert r1.diagnostics["quadrature"]["m"] >= 2
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_sobol_normals_match_one_draw(m):
+    # the chunked fill gives the points of a single full draw, bit for bit
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+    u = qmc.Sobol(d=m, scramble=True, seed=QMC_SEED).random(1 << QMC_LOG2_N)
+    want = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    table = _sobol_normals(m)
+    assert table.shape == want.shape == (1 << QMC_LOG2_N, m)
+    assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+
+
+def test_sobol_normals_layout():
+    table = _sobol_normals(3)
+    assert table.flags.f_contiguous
+    assert not table.flags.writeable
+    assert _sobol_normals(3) is table
+
+
+def test_qmc_answers_independent_of_call_history():
+    # crit5-5, crit5-7 and crit5-23 of the criterion-5 stream: Sobol on
+    # m = 6, 7 and 8 variables
+    rng = np.random.default_rng(1005)
+    stream = [random_polynomial(rng, d=[2, 3, 4][j % 3], n=8, terms=6,
+                                multilinear=(j % 2 == 0)) for j in range(24)]
+    polys = [stream[i] for i in (5, 7, 23)]
+
+    def answers(order):
+        out = {}
+        for i in order:
+            res = count_gaussian(polys[i], 0.05)
+            assert res.method == "qmc"
+            out[i] = res.value.hex()
+        return out
+
+    forward = answers([0, 1, 2])
+    assert answers([2, 1, 0]) == forward
+    _sobol_normals.cache_clear()
+    assert answers([0, 1, 2]) == forward
 
 
 def test_random_corpus_vs_mc(rng):
