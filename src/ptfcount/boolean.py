@@ -93,19 +93,15 @@ def _enumerate_support(p: Polynomial) -> float:
 
 @dataclass
 class Leaf:
-    kind: str          # "decided" | "regular" | "fail" | "constant"
-    depth: int
-    mass: float        # 2^{-depth}
-    value: float       # contribution in [0, 1]
-    error: float       # per-leaf error bound, already mass-weighted
+    kind: str    # "constant" | "decided" | "enumerated" | "regular" | "fail"
+    depth: int   # the leaf's subcube has mass 2^-depth
+    value: float  # Pr[p >= 0] on the subcube, in [0, 1]
+    error: float  # error bound, already mass-weighted
 
 
 @dataclass
 class RegularityTree:
-    leaves: list[Leaf]
-    depth: int
-    fail_mass: float
-    num_gaussian_leaves: int
+    leaves: list[Leaf]  # in breadth-first order
 
 
 def _variance(p: Polynomial) -> float:
@@ -120,78 +116,74 @@ def construct_tree(p: Polynomial, tau: float,
     chern = math.log(2.0 / fail_p) ** (d / 2.0)
 
     leaves: list[Leaf] = []
-    max_depth_seen = 0
-    fail_mass = 0.0
-    n_gauss = 0
     processed = 0
     queue: deque[tuple[Polynomial, int]] = deque([(p, 0)])
     while queue:
         node, depth = queue.popleft()
         mass = 2.0 ** (-depth)
-        max_depth_seen = max(max_depth_seen, depth)
         mean = node.constant_term()
         var = _variance(node)
         if var == 0.0:
-            leaves.append(Leaf("constant", depth, mass,
+            leaves.append(Leaf("constant", depth,
                                1.0 if mean >= 0.0 else 0.0, 0.0))
             continue
         fluct = node.l1_norm() - abs(mean)
         if abs(mean) > fluct:
             # the sign cannot flip on any point of the subcube
-            leaves.append(Leaf("decided", depth, mass,
+            leaves.append(Leaf("decided", depth,
                                1.0 if mean > 0.0 else 0.0, 0.0))
             continue
         if abs(mean) >= chern * math.sqrt(var):
             # sign decided up to the concentration tail
-            leaves.append(Leaf("decided", depth, mass,
+            leaves.append(Leaf("decided", depth,
                                1.0 if mean > 0.0 else 0.0, mass * fail_p))
             continue
         if len(node.support_vars()) <= ENUM_VARS:
-            leaves.append(Leaf("enumerated", depth, mass,
+            leaves.append(Leaf("enumerated", depth,
                                _enumerate_support(node), 0.0))
             continue
         infs = influences(node)
         top_var, top_inf = max(infs.items(), key=lambda kv: (kv[1], -kv[0]))
         if top_inf <= tau * var:
             res = count_gaussian(node, eps / 2.0)
-            n_gauss += 1
             inv_err = min(1.0, d * math.sqrt(tau))
-            leaves.append(Leaf("regular", depth, mass, res.value,
+            leaves.append(Leaf("regular", depth, res.value,
                                mass * (inv_err + eps / 2.0)))
             continue
         processed += 1
         if depth >= MAX_DEPTH or processed > LEAF_CAP:
-            leaves.append(Leaf("fail", depth, mass, 0.5, mass * 0.5))
-            fail_mass += mass
+            leaves.append(Leaf("fail", depth, 0.5, mass * 0.5))
             continue
         queue.append((node.restrict(top_var, 1.0), depth + 1))
         queue.append((node.restrict(top_var, -1.0), depth + 1))
-    return RegularityTree(leaves, max_depth_seen, fail_mass, n_gauss)
+    return RegularityTree(leaves)
 
 
 def count_boolean(p: Polynomial, eps: float = 0.05) -> CountResult:
+    """Pr[p(x) >= 0] for x uniform on {-1,1}^n: the mass-weighted sum of
+    the regularity tree's leaf values.  A constant p is a one-leaf tree.
+
+    The budget and diagnostics are read off the leaves; both error sums
+    start at 0.0, so they stay floats when no leaf contributes.
+    """
     work = p.hypercube_reduce()
-    d = work.degree()
-    if d == 0:
-        return CountResult(1.0 if work.constant_term() >= 0.0 else 0.0,
-                           eps, "constant", {"total": 0.0}, {})
-    tau = derive_tau(eps, d)
-    tree = construct_tree(work, tau, eps)
-    value = sum(leaf.mass * leaf.value for leaf in tree.leaves)
+    tau = derive_tau(eps, work.degree())
+    leaves = construct_tree(work, tau, eps).leaves
+    value = sum(2.0 ** (-leaf.depth) * leaf.value for leaf in leaves)
     budget = {
-        "fail_mass": tree.fail_mass,
-        "leaf_errors": sum(leaf.error for leaf in tree.leaves
-                           if leaf.kind != "fail"),
+        "fail_mass": sum((2.0 ** (-leaf.depth) for leaf in leaves
+                          if leaf.kind == "fail"), 0.0),
+        "leaf_errors": sum((leaf.error for leaf in leaves
+                            if leaf.kind != "fail"), 0.0),
     }
     budget["total"] = budget["fail_mass"] + budget["leaf_errors"]
     diag = {
         "tau": tau,
-        "depth": tree.depth,
-        "leaves": len(tree.leaves),
-        "leaf_kinds": {k: sum(1 for l in tree.leaves if l.kind == k)
+        "depth": max(leaf.depth for leaf in leaves),
+        "leaves": len(leaves),
+        "leaf_kinds": {k: sum(1 for l in leaves if l.kind == k)
                        for k in ("constant", "decided", "enumerated",
                                  "regular", "fail")},
-        "gaussian_leaves": tree.num_gaussian_leaves,
     }
-    return CountResult(float(min(max(value, 0.0), 1.0)), eps, "tree",
-                       budget, diag)
+    return CountResult(float(min(max(value, 0.0), 1.0)), "tree", budget,
+                       diag)

@@ -86,7 +86,6 @@ class SplitOutcome:
     c: float = 0.0
     p: SymTensor | None = None
     q: SymTensor | None = None
-    remainder: SymTensor | None = None
     product: SymTensor | None = None  # tensor of P*Q (unit variance)
 
 
@@ -165,9 +164,9 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     """Peel one product of lower-order chaos elements off I_q(f).
 
     Input must have Var[I_q(f)] = 1.  Either reports eigenregularity
-    (lambda_max(f) < eta) or returns c, P, Q, R with
-    I_q(f) = c P Q + I_q(R), Var[P] = Var[Q] = Var[PQ] = 1, P and Q over
-    disjoint variables, c >= eta/2^q, and Var[R] = 1 - c^2.
+    (lambda_max(f) < eta) or returns c, P, Q and the tensor u of P Q with
+    Var[P] = Var[Q] = Var[PQ] = 1, P and Q over disjoint variables and
+    c >= eta/2^q; the remainder R = f - c u has Var[I_q(R)] = 1 - c^2.
     """
     q = f.order
     rep = lambda_max(f)
@@ -193,8 +192,7 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     g2 = nu2.scale(1.0 / (math.sqrt(math.factorial(q2)) * n2))
     u = contract_sym(g1, g2, 0)  # tensor of P*Q, unit variance
     c = math.factorial(q) * inner(f, u)
-    r = f.add(u, -c)
-    return SplitOutcome(False, rep.value, c, g1, g2, r, u)
+    return SplitOutcome(False, rep.value, c, g1, g2, u)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +205,7 @@ class DecomposeOutcome:
     triples: list[tuple[float, SymTensor, SymTensor]]
     products: list[SymTensor]   # unit-variance tensors of P_j Q_j
     remainder: SymTensor
-    remainder_var: float
     remainder_eig: float        # lambda_max of normalized remainder
-    m: int
 
     def product_part(self) -> SymTensor | None:
         out = None
@@ -247,14 +243,14 @@ def decompose_one_wiener(f: SymTensor, eta: float,
             return DecomposeOutcome(
                 "small-remainder",
                 [(c, p_, q_) for c, (p_, q_) in zip(coeffs, pq)],
-                products, g, varg, 0.0, len(products))
+                products, g, 0.0)
         ghat = g.scale(1.0 / math.sqrt(varg))
         out = split_one_wiener(ghat, eta)
         if out.eigenregular:
             return DecomposeOutcome(
                 "eigenregular",
                 [(c, p_, q_) for c, (p_, q_) in zip(coeffs, pq)],
-                products, g, varg, out.lam, len(products))
+                products, g, out.lam)
         products.append(out.product)
         pq.append((out.p, out.q))
         if len(products) > m_max:
@@ -286,9 +282,7 @@ def decompose_one_wiener(f: SymTensor, eta: float,
 class RegularizeOutcome:
     """I_q(f) = sum_j a_j P_j Q_j + a_reg R_reg + R_neg."""
     triples: list[tuple[float, SymTensor, SymTensor]]
-    products: list[SymTensor]
     neg: SymTensor
-    neg_var: float
     a_reg: float
     reg: SymTensor | None       # unit variance when present
     reg_eig: float              # achieved lambda_max ratio of R_reg
@@ -320,7 +314,6 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
     live = list(range(r))
     g = [f.copy() for f in fs]
     triples: list[list] = [[] for _ in range(r)]
-    products: list[list] = [[] for _ in range(r)]
     result: list[RegularizeOutcome | None] = [None] * r
     t_exit = 0
     for i, eta_i in enumerate(schedule, start=1):
@@ -329,8 +322,7 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
             varg = var_of(g[s])
             if varg <= eps:
                 result[s] = RegularizeOutcome(
-                    triples[s], products[s], g[s], varg, 0.0, None, 0.0,
-                    eta_i)
+                    triples[s], g[s], 0.0, None, 0.0, eta_i)
         live = [s for s in live if result[s] is None]
         if not live:
             return MultiOutcome(result, t_exit, eta_i)
@@ -343,10 +335,8 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
             dec, lam_inv = decs[s]
             if dec.status == "small-remainder":
                 triples[s] += _scaled_triples(dec, lam_inv)
-                products[s] += dec.products
-                neg = dec.remainder.scale(lam_inv)
                 result[s] = RegularizeOutcome(
-                    triples[s], products[s], neg, var_of(neg), 0.0, None,
+                    triples[s], dec.remainder.scale(lam_inv), 0.0, None,
                     0.0, eta_after)
         live = [s for s in live if result[s] is None]
         if not live:
@@ -366,14 +356,12 @@ def multi_regularize_one_wiener(fs: list[SymTensor], schedule: list[float],
                 a_reg = math.sqrt(var_of(rr))
                 reg = rr.scale(1.0 / a_reg) if a_reg > 0 else None
                 result[s] = RegularizeOutcome(
-                    triples[s], products[s], neg, var_of(neg), a_reg, reg,
-                    dec.remainder_eig, eta_i)
+                    triples[s], neg, a_reg, reg, dec.remainder_eig, eta_i)
             return MultiOutcome(result, i - 1, eta_i)
         for s in live:
             dec, lam_inv = decs[s]
             if prod_vars[s] > eps:
                 triples[s] += _scaled_triples(dec, lam_inv)
-                products[s] += dec.products
                 g[s] = dec.remainder.scale(lam_inv)
                 t_exit = i
             # inputs with small product variance keep their g and retry
@@ -395,7 +383,6 @@ class MRMWResult:
     slices: list[dict[int, Polynomial]]
     pool: list[SymTensor]
     neg_var: list[dict[int, float]]
-    coeff: float
     eta_next: float
     diagnostics: dict
 
@@ -436,8 +423,7 @@ def multi_regularize_many_wieners(
                 slices[s][1] = Polynomial(aid, {(aid,): math.sqrt(v1)})
             else:
                 slices[s][1] = Polynomial(0, {})
-        coeff = sum(poly.l1_norm() for sl in slices for poly in sl.values())
-        return MRMWResult(slices, pool, neg_var, coeff, 1.0, diagnostics)
+        return MRMWResult(slices, pool, neg_var, 1.0, diagnostics)
 
     eps = tau if d == 2 else tau / 8.0
 
@@ -504,12 +490,11 @@ def multi_regularize_many_wieners(
             rid = len(pool)
             poly = poly.add(Polynomial(rid, {(rid,): outc.a_reg * sc}))
         slices[s][d] = poly
-        neg_var[s][d] = outc.neg_var * sc * sc
+        neg_var[s][d] = var_of(outc.neg) * sc * sc
 
-    coeff = sum(poly.l1_norm() for sl in slices for poly in sl.values())
     eta_next = min(diagnostics.get("eta_next", 1.0),
                    sub.diagnostics.get("eta_next", 1.0))
-    return MRMWResult(slices, pool, neg_var, coeff, eta_next, diagnostics)
+    return MRMWResult(slices, pool, neg_var, eta_next, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +578,8 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
     eigen = [eigenregularity(t) for t in inner]
     diag = dict(res.diagnostics)
     diag.update({
-        "coeff": res.coeff,
+        "coeff": sum(poly.l1_norm() for sl in res.slices
+                     for poly in sl.values()),
         "eta_next": res.eta_next,
         "neg_var": res.neg_var[0],
     })

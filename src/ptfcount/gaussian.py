@@ -90,7 +90,6 @@ _TRUNCATION_U = 2.0 ** (np.arange(-16, 161) / 4.0)
 @dataclass
 class CountResult:
     value: float
-    eps: float
     method: str
     budget: dict
     diagnostics: dict
@@ -161,7 +160,7 @@ def integrate_gaussian(h: Polynomial) -> tuple[float, dict]:
     h = Polynomial(m, {tuple(pos[i] for i in k): v
                        for k, v in h.coeffs.items()})
     if m == 1:
-        return univariate_probability(h, 1.0), {"m": 1, "points": 0}
+        return univariate_probability(h), {"m": 1, "points": 0}
     return _qmc_sharp(h, m)
 
 
@@ -194,26 +193,23 @@ def _sobol_normals(m: int) -> np.ndarray:
     return table
 
 
-def univariate_probability(h: Polynomial, var: float) -> float:
-    """Pr[h(Y) >= 0] for Y ~ N(0, var) and h a polynomial in y_1 alone.
+def univariate_probability(h: Polynomial) -> float:
+    """Pr[h(Y) >= 0] for Y ~ N(0, 1) and h a polynomial in y_1 alone.
 
     h keeps one sign between consecutive real roots, so the answer is the
-    Gaussian mass Phi(b) - Phi(a) of the standardized intervals (a, b)
-    between roots on which h >= 0 at an inner point.  Real parts of complex
-    roots only add breakpoints, which leaves the sum unchanged.
+    Gaussian mass Phi(b) - Phi(a) of the intervals (a, b) between roots on
+    which h >= 0 at an inner point.  Real parts of complex roots only add
+    breakpoints, which leaves the sum unchanged.
     """
     import scipy.special
     coef = np.zeros(h.degree() + 1)
     for k, v in h.coeffs.items():
         coef[len(k)] += v
-    if var <= 0.0:
-        return 1.0 if coef[0] >= 0.0 else 0.0
-    s = math.sqrt(var)
-    cuts = np.unique(np.roots(coef[::-1]).real) / s
+    cuts = np.unique(np.roots(coef[::-1]).real)
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
     inside = np.concatenate([cuts[:1] - 1.0, 0.5 * (cuts[1:] + cuts[:-1]),
                              cuts[-1:] + 1.0]) if cuts.size else np.zeros(1)
-    keep = np.polynomial.polynomial.polyval(s * inside, coef) >= 0.0
+    keep = np.polynomial.polynomial.polyval(inside, coef) >= 0.0
     mass = scipy.special.ndtr(edges[1:]) - scipy.special.ndtr(edges[:-1])
     return float(np.sum(mass[keep]))
 
@@ -360,13 +356,13 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
     diag = {"m": m, "s0": s0, "nodes": 0}
     rank = m + (s0 > 0.0)
     if rank == 0:
-        return CountResult(1.0 if c >= 0.0 else 0.0, eps, "constant",
+        return CountResult(1.0 if c >= 0.0 else 0.0, "constant",
                            {"total": 0.0}, diag)
     if rank == 1:
         # c + lam_1 z^2 + beta_1 z when m = 1, c + s0 z when m = 0
         h = Polynomial(1, {(): c, (1, 1): float(np.sum(lam)),
                            (1,): float(np.sum(beta)) + s0})
-        value, bound = univariate_probability(h, 1.0), 0.0
+        value, bound = univariate_probability(h), 0.0
     else:
         scale = math.sqrt(2.0 * float(np.sum(lam * lam))
                           + float(np.sum(beta * beta)) + s0 * s0)
@@ -376,8 +372,7 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
         # the sign of c is wrong with at most the tail at 0 opposite it
         tail = at_zero[1] if c > 0.0 else at_zero[0]
         if c != 0.0 and tail <= eps * QUADRATIC_TARGET:
-            return CountResult(1.0 if c > 0.0 else 0.0, eps,
-                               "quadratic_form",
+            return CountResult(1.0 if c > 0.0 else 0.0, "quadratic_form",
                                {"quadratic_form": tail, "total": tail}, diag)
         step = 2.0 * math.pi / span
         trunc = _truncation_bound(_TRUNCATION_U, lam, beta, s0)
@@ -391,8 +386,7 @@ def count_quadratic(p: Polynomial, eps: float) -> CountResult:
                                                s0)[0])
         value = _gil_pelaez_sum(c, lam, beta, s0, step, nodes)
         diag["nodes"] = nodes
-    return CountResult(float(min(max(value, 0.0), 1.0)), eps,
-                       "quadratic_form",
+    return CountResult(float(min(max(value, 0.0), 1.0)), "quadratic_form",
                        {"quadratic_form": bound, "total": bound}, diag)
 
 
@@ -411,5 +405,5 @@ def count_gaussian(p: Polynomial, eps: float = 0.05) -> CountResult:
     else:
         res = 4.0 / math.sqrt(qinfo["points"])
         method, budget = "qmc", {"qmc_resolution": res, "total": res}
-    return CountResult(float(min(max(val, 0.0), 1.0)), eps, method, budget,
+    return CountResult(float(min(max(val, 0.0), 1.0)), method, budget,
                        {"quadrature": qinfo})

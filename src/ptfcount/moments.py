@@ -41,8 +41,6 @@ class MomentEstimate:
     value: float
     lower: float          # Riemann-Stieltjes lower bound
     upper: float          # Riemann-Stieltjes upper bound
-    k: int
-    eps: float
     thresholds: int       # 0 when the value is exact
 
 
@@ -66,11 +64,11 @@ def absolute_moment(p: Polynomial, k: int,
     work = p.hypercube_reduce()
     if len(work.support_vars()) <= ENUM_VARS:
         exact = float(np.mean(np.abs(hypercube_values(work)) ** k))
-        return MomentEstimate(exact, exact, exact, k, eps, 0)
+        return MomentEstimate(exact, exact, exact, 0)
     # Parseval: the multilinear work has E[work^2] = sum of c_S^2
     second = sum(c * c for c in work.coeffs.values())
     if second <= 0.0:
-        return MomentEstimate(0.0, 0.0, 0.0, k, eps, 0)
+        return MomentEstimate(0.0, 0.0, 0.0, 0)
     norm = math.sqrt(second)
     q = work.scale(1.0 / norm)
     top = q.l1_norm()
@@ -103,5 +101,4 @@ def absolute_moment(p: Polynomial, k: int,
     upper += ts[-1] ** k * probs[-1]
     mid = 0.5 * (lower + upper)
     scale = norm ** k
-    return MomentEstimate(scale * mid, scale * lower, scale * upper,
-                          k, eps, len(ts))
+    return MomentEstimate(scale * mid, scale * lower, scale * upper, len(ts))

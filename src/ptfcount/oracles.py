@@ -2,8 +2,9 @@
 
 These deliberately avoid the engine's code paths: enumeration evaluates
 monomials directly with numpy, the Monte Carlo counter drives a seeded
-generator, and the brute-force flattening norm runs power iteration on the
-fully expanded dense tensor.
+generator, and the brute-force flattening norm takes a dense eigvalsh of
+M M^T for each flattening M of the fully expanded tensor, where the engine's
+lambda_max takes an SVD of the orbit-compressed sparse flattening.
 """
 
 from __future__ import annotations
@@ -76,13 +77,10 @@ def mc_gaussian(p: Polynomial, n_samples: int = 10 ** 6,
     return MCEstimate(phat, stderr, n_samples, seed)
 
 
-def brute_lambda_max(f: SymTensor, iters: int = 2000,
-                     tol: float = 1e-12) -> float:
-    """Top flattening singular value by power iteration on the dense tensor.
-
-    Runs alternating power iteration for every split k = 1..q-1 from several
-    deterministic starting vectors and returns the best value found.
-    """
+def brute_lambda_max(f: SymTensor) -> float:
+    """Top flattening singular value of the dense tensor: for every split
+    k = 1..q-1, the square root of the largest eigenvalue of M M^T for the
+    n^k x n^(q-k) flattening M, and the largest over k."""
     q, n = f.order, f.dim
     if q <= 1:
         return 0.0
@@ -92,40 +90,5 @@ def brute_lambda_max(f: SymTensor, iters: int = 2000,
         m = dense.reshape(n ** k, n ** (q - k))
         if m.shape[0] > m.shape[1]:
             m = m.T
-        gram = m @ m.T
-        total = np.linalg.norm(gram)
-        if total == 0.0:
-            continue
-        # accelerated power iteration: squaring boosts the spectral gap,
-        # (sigma_2/sigma_1)^(2^60) underflows for any actual gap
-        proj = gram / total
-        for _ in range(60):
-            proj = proj @ proj
-            s = np.linalg.norm(proj)
-            if s == 0.0 or not np.isfinite(s):
-                break
-            proj /= s
-        starts = [np.ones(gram.shape[0])]
-        e = np.zeros(gram.shape[0])
-        e[int(np.argmax(np.diag(gram)))] = 1.0
-        starts.append(e)
-        rng = np.random.Generator(np.random.PCG64(12345))
-        starts.extend(rng.standard_normal(gram.shape[0]) for _ in range(3))
-        for v in starts:
-            w = proj @ v
-            nw = np.linalg.norm(w)
-            if nw <= tol:
-                continue
-            w /= nw
-            for _ in range(iters):
-                u = gram @ w
-                nu = np.linalg.norm(u)
-                if nu == 0.0:
-                    break
-                wn = u / nu
-                if np.linalg.norm(wn - w) <= tol:
-                    w = wn
-                    break
-                w = wn
-            best = max(best, math.sqrt(float(w @ gram @ w)))
+        best = max(best, math.sqrt(float(np.linalg.eigvalsh(m @ m.T)[-1])))
     return best

@@ -101,10 +101,11 @@ class Polynomial:
         if x.ndim == 1:
             x = x[None, :]
         out = np.zeros(x.shape[0])
+        term = np.empty(x.shape[0])
         for k, v in self.coeffs.items():
-            term = np.full(x.shape[0], v)
+            term.fill(v)
             for i in k:
-                term = term * x[:, i - 1]
+                term *= x[:, i - 1]
             out += term
         return out
 

@@ -229,15 +229,16 @@ def test_criterion_4_decomposition_contracts():
         if pp is not None:
             worst_orth = max(worst_orth, abs(
                 math.factorial(q) * _tensor_inner(pp, dec.remainder)))
-        if dec.m > decompose_max_iter(q, eta, eps):
+        m = len(dec.triples)
+        if m > decompose_max_iter(q, eta, eps):
             ok, detail = False, f"m bound trial {trial}"
-        if dec.sum_c_sq() > (2.0 ** q / eta) ** (4 * max(dec.m - 1, 0)) \
+        if dec.sum_c_sq() > (2.0 ** q / eta) ** (4 * max(m - 1, 0)) \
                 + 1e-9:
             ok, detail = False, f"coeff bound trial {trial}"
 
         schedule = make_schedule(eps, 1, eta0=eta)
         reg = multi_regularize_one_wiener([f], schedule, eps).per_input[0]
-        if reg.neg_var > eps + 1e-9:
+        if var_of(reg.neg) > eps + 1e-9:
             ok, detail = False, f"neg var trial {trial}"
         if reg.reg is not None and reg.reg_eig > reg.eta_next + 1e-9:
             ok, detail = False, f"reg eig trial {trial}"

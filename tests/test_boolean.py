@@ -50,6 +50,25 @@ def test_constant():
     assert count_boolean(Polynomial(1, {(): 1.0})).value == 1.0
 
 
+def test_constant_is_a_one_leaf_tree():
+    # x1^2 - 2 reduces to the constant -1 on the hypercube
+    res = count_boolean(Polynomial(1, {(1, 1): 1.0, (): -2.0}))
+    assert res.value == 0.0
+    assert res.method == "tree"
+    assert res.diagnostics["leaves"] == 1
+    assert res.diagnostics["leaf_kinds"]["constant"] == 1
+    assert res.diagnostics["depth"] == 0
+
+
+def test_zero_budget_entries_are_floats():
+    # no fail leaf and no leaf error: every entry is 0.0, not the int 0
+    for p in (Polynomial(1, {(): 1.0}),
+              Polynomial(3, {(1,): 1.0, (2,): 1.0, (3,): 1.0})):
+        budget = count_boolean(p, 0.05).budget
+        assert budget == {"fail_mass": 0.0, "leaf_errors": 0.0, "total": 0.0}
+        assert all(type(v) is float for v in budget.values())
+
+
 def test_tree_decided_leaf():
     # large constant dominates: single decided leaf
     p = Polynomial(4, {(): 10.0, (1, 2): 1.0, (3, 4): 1.0})
@@ -68,9 +87,16 @@ def test_fail_mass_reported():
     g2 = rng.normal(size=n - 1)
     coeffs = {(i,): float(g[i - 1]) for i in range(1, n + 1)}
     coeffs.update({(i, i + 1): float(g2[i - 1]) for i in range(1, n)})
-    res = count_boolean(Polynomial(n, coeffs), 0.05)
+    p = Polynomial(n, coeffs)
+    res = count_boolean(p, 0.05)
     assert res.budget["fail_mass"] > 0.0
     assert res.budget["total"] >= res.budget["fail_mass"]
+    # the report is read off the leaves
+    leaves = construct_tree(p, derive_tau(0.05, 2), 0.05).leaves
+    assert res.budget["fail_mass"] == sum(
+        2.0 ** -leaf.depth for leaf in leaves if leaf.kind == "fail")
+    assert res.diagnostics["depth"] == max(leaf.depth for leaf in leaves)
+    assert res.diagnostics["leaves"] == len(leaves)
 
 
 def test_wide_corpus_vs_enumeration(rng):

@@ -18,7 +18,7 @@ from ptfcount.decomposition import (
     var_of,
     _partition_terms,
 )
-from ptfcount.tensors import SymTensor, inner
+from ptfcount.tensors import SymTensor, contract_sym, inner
 
 from conftest import random_polynomial
 
@@ -39,7 +39,7 @@ def test_split_anchor_x1x2():
     out = split_one_wiener(f, 0.4)
     assert not out.eigenregular
     assert out.c == pytest.approx(1.0)
-    assert var_of(out.remainder) == pytest.approx(0.0, abs=1e-12)
+    assert var_of(f.add(out.product, -out.c)) == pytest.approx(0.0, abs=1e-12)
     assert out.p.order == 1 and out.q.order == 1
 
 
@@ -131,22 +131,23 @@ def test_decompose_reconstruction(rng):
         if pp is not None:
             assert abs(math.factorial(q) * inner(pp, out.remainder)) <= 1e-9
         if out.status == "small-remainder":
-            assert out.remainder_var <= eps + 1e-12
+            assert var_of(out.remainder) <= eps + 1e-12
         else:
             assert out.remainder_eig <= eta + 1e-9
-        assert out.m <= decompose_max_iter(q, eta, eps)
-        assert out.sum_c_sq() <= (2.0 ** q / eta) ** (4 * max(out.m - 1, 0)) \
+        m = len(out.triples)
+        assert m <= decompose_max_iter(q, eta, eps)
+        assert out.sum_c_sq() <= (2.0 ** q / eta) ** (4 * max(m - 1, 0)) \
             + 1e-9
 
 
 def _assert_regularized(f, out, eps):
-    assert out.neg_var <= eps + 1e-9
+    assert var_of(out.neg) <= eps + 1e-9
     if out.reg is not None:
         assert out.reg_eig <= out.eta_next + 1e-9
     # reconstruction through all emitted parts
     acc = out.neg.copy()
-    for (a, _, _), u in zip(out.triples, out.products):
-        acc = acc.add(u, a)
+    for a, p_, q_ in out.triples:
+        acc = acc.add(contract_sym(p_, q_, 0), a)
     if out.reg is not None:
         acc = acc.add(out.reg, out.a_reg)
     assert var_of(acc.add(f, -1.0)) <= 1e-9

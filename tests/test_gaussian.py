@@ -119,7 +119,7 @@ def test_two_inner_polynomials_sobol():
 def test_univariate_probability_square():
     # Pr[Y^2 >= 1] = 2 Phi(-1)
     h = Polynomial(1, {(1, 1): 1.0, (): -1.0})
-    assert univariate_probability(h, 1.0) == pytest.approx(
+    assert univariate_probability(h) == pytest.approx(
         2.0 * norm.cdf(-1.0), abs=1e-12)
 
 
