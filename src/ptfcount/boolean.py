@@ -9,8 +9,7 @@ to the variance, in which case the Gaussian counter applies by the
 invariance principle).  A small leaf is counted exactly: its values on all
 2^m points of its subcube are the fast Walsh-Hadamard transform of its
 coefficient vector, O(m 2^m) work whatever its number of terms.  Leaves
-hitting the depth or size budget contribute 1/2 and their mass is reported
-as error.
+hitting the size budget contribute 1/2 and their mass is reported as error.
 
 hypercube_values is that transform, the one kernel; it has two readers.
 _enumerate_support counts the nonnegative values of a leaf, and
@@ -29,7 +28,6 @@ import numpy as np
 from .polynomials import Polynomial
 from .gaussian import CountResult, count_gaussian
 
-MAX_DEPTH = 16
 LEAF_CAP = 4096      # undecided nodes restricted before giving up
 ENUM_VARS = 16       # enumerate leaves touching at most this many variables
 
@@ -151,7 +149,7 @@ def construct_tree(p: Polynomial, tau: float,
                                mass * (inv_err + eps / 2.0)))
             continue
         processed += 1
-        if depth >= MAX_DEPTH or processed > LEAF_CAP:
+        if processed > LEAF_CAP:
             leaves.append(Leaf("fail", depth, 0.5, mass * 0.5))
             continue
         queue.append((node.restrict(top_var, 1.0), depth + 1))

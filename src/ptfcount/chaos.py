@@ -7,23 +7,26 @@ rule tying tensors to polynomials is
     I_q(Sym(e_{j1} (x) ... (x) e_{jq})) = prod_j He_{alpha_j}(x_j)
 
 where alpha_j counts the occurrences of j and He is the monic probabilists'
-Hermite polynomial (He_0=1, He_1=x, He_2=x^2-1, ...).  Under this rule
-E[I_p(f) I_q(g)] = 0 for p != q and p! <f,g> for p = q, and the product,
-Malliavin derivative, and Ornstein-Uhlenbeck operators all act through
-contraction products of the tensors.
+Hermite polynomial (He_0=1, He_1=x, He_2=x^2-1, ...).  Each identity of the
+chaos is written once.  The covariance rule E[I_p(f) I_q(g)] = 1{p=q} p!<f,g>
+is tensors.wiener_inner (and tensors.var_of).  The Hermite basis change, in
+both directions, is _basis_change.  The contraction series, behind the
+product and <D F, D G> alike, is _add_contractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .polynomials import Polynomial
-from .tensors import SymTensor, contract_sym, inner, orbit_size
+from .tensors import (
+    SymTensor, contract_sym, orbit_size, var_of, wiener_inner)
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +77,7 @@ class ChaosDecomposition:
         return self.level(0).coeffs.get((), 0.0)
 
     def variance(self) -> float:
-        return sum(math.factorial(q) * t.norm_sq()
-                   for q, t in self.tensors.items() if q >= 1)
+        return sum(var_of(t) for t in self.tensors.values())
 
     def set_level(self, q: int, t: SymTensor) -> None:
         if t.coeffs:
@@ -103,28 +105,33 @@ def single_level(t: SymTensor) -> ChaosDecomposition:
     return c
 
 
+def _basis_change(key: tuple[int, ...], w: float, table):
+    """(key', w') for each term of prod_i table(a_i)(x_i), where variable i
+    occurs a_i times in the sorted key.
+
+    table(a)[k] is the coefficient of the degree-k basis element; the weight
+    starts at w and takes the factors in variable order, so w' is
+    w * b_1 * b_2 * ..., and key' comes out sorted.
+    """
+    per_var = [[(i, k, b) for k, b in enumerate(table(a)) if b != 0.0]
+               for i, a in sorted(Counter(key).items())]
+    for combo in itertools.product(*per_var):
+        out_w = w
+        out_key: list[int] = []
+        for i, k, b in combo:
+            out_w *= b
+            out_key.extend([i] * k)
+        yield tuple(out_key), out_w
+
+
 def to_chaos(p: Polynomial) -> ChaosDecomposition:
     """Expand a polynomial into its Wiener chaos slices."""
     out = ChaosDecomposition(p.dim)
     acc: dict[int, dict[tuple[int, ...], float]] = {}
     for mono, c in p.coeffs.items():
-        counts: dict[int, int] = {}
-        for i in mono:
-            counts[i] = counts.get(i, 0) + 1
-        vars_ = sorted(counts)
-        per_var = []
-        for i in vars_:
-            b = monomial_to_hermite(counts[i])
-            per_var.append([(k, b[k]) for k in range(len(b)) if b[k] != 0.0])
-        for combo in itertools.product(*per_var):
-            w = c
-            key: list[int] = []
-            for i, (k, bk) in zip(vars_, combo):
-                w *= bk
-                key.extend([i] * k)
-            key_t = tuple(key)  # already sorted since vars_ ascending
-            lvl = acc.setdefault(len(key_t), {})
-            lvl[key_t] = lvl.get(key_t, 0.0) + w
+        for key, w in _basis_change(mono, c, monomial_to_hermite):
+            lvl = acc.setdefault(len(key), {})
+            lvl[key] = lvl.get(key, 0.0) + w
     for q, entries in acc.items():
         coeffs = {k: v / orbit_size(k) for k, v in entries.items()
                   if v != 0.0}
@@ -137,25 +144,10 @@ def to_chaos(p: Polynomial) -> ChaosDecomposition:
 def from_chaos(c: ChaosDecomposition) -> Polynomial:
     """Inverse of to_chaos: expand chaos slices back into monomials."""
     out = Polynomial(c.dim, {})
-    for q, t in c.tensors.items():
+    for t in c.tensors.values():
         for key, v in t.coeffs.items():
-            counts: dict[int, int] = {}
-            for i in key:
-                counts[i] = counts.get(i, 0) + 1
-            vars_ = sorted(counts)
-            w0 = v * orbit_size(key)
-            per_var = []
-            for i in vars_:
-                he = hermite_to_monomial(counts[i])
-                per_var.append([(j, he[j]) for j in range(len(he))
-                                if he[j] != 0.0])
-            for combo in itertools.product(*per_var):
-                w = w0
-                mono: list[int] = []
-                for i, (j, hj) in zip(vars_, combo):
-                    w *= hj
-                    mono.extend([i] * j)
-                k = tuple(sorted(mono))
+            for k, w in _basis_change(key, v * orbit_size(key),
+                                      hermite_to_monomial):
                 nv = out.coeffs.get(k, 0.0) + w
                 if nv == 0.0:
                     out.coeffs.pop(k, None)
@@ -168,45 +160,43 @@ def from_chaos(c: ChaosDecomposition) -> Polynomial:
     return out
 
 
-def ito_multiply_levels(f: SymTensor, g: SymTensor) -> ChaosDecomposition:
-    """Product of two single chaos elements:
-
-    I_p(f) I_q(g) = sum_{r=0}^{min(p,q)} r! C(p,r) C(q,r) I_{p+q-2r}(f (x~)_r g)
-    """
-    p, q = f.order, g.order
-    out = ChaosDecomposition(max(f.dim, g.dim))
-    if p == 0 or q == 0:
-        scal = f.coeffs.get((), 0.0) if p == 0 else g.coeffs.get((), 0.0)
-        base = g if p == 0 else f
-        out.set_level(base.order, base.scale(scal))
-        return out
-    for r in range(0, min(p, q) + 1):
-        coef = (math.factorial(r) * math.comb(p, r) * math.comb(q, r))
-        t = contract_sym(f, g, r).scale(coef)
-        lvl = p + q - 2 * r
+def _add_contractions(out: ChaosDecomposition, f: SymTensor, g: SymTensor,
+                      rs, coef) -> None:
+    """Add sum_{r in rs} coef(r) I_{p+q-2r}(f (x~)_r g) into out."""
+    for r in rs:
+        lvl = f.order + g.order - 2 * r
+        t = contract_sym(f, g, r).scale(coef(r))
         out.set_level(lvl, out.level(lvl).add(t))
-    return out
 
 
 def ito_multiply(a: ChaosDecomposition,
                  b: ChaosDecomposition) -> ChaosDecomposition:
-    """Chaos decomposition of the pointwise product of two polynomials."""
+    """Chaos decomposition of the pointwise product of two polynomials:
+
+    I_p(f) I_q(g) = sum_{r=0}^{min(p,q)} r! C(p,r) C(q,r) I_{p+q-2r}(f (x~)_r g)
+
+    An order-0 factor scales the other directly: contract_sym(., ., 0)
+    would multiply and divide by orbit sizes and move the last bits.
+    """
     out = ChaosDecomposition(max(a.dim, b.dim))
-    for p, fa in a.tensors.items():
-        for q, fb in b.tensors.items():
-            part = ito_multiply_levels(fa, fb)
-            for lvl, t in part.tensors.items():
-                out.set_level(lvl, out.level(lvl).add(t))
+    for p, f in a.tensors.items():
+        for q, g in b.tensors.items():
+            if p == 0 or q == 0:
+                base, scal = (g, f.coeffs.get((), 0.0)) if p == 0 \
+                    else (f, g.coeffs.get((), 0.0))
+                out.set_level(base.order,
+                              out.level(base.order).add(base.scale(scal)))
+                continue
+            _add_contractions(out, f, g, range(min(p, q) + 1),
+                              lambda r: (math.factorial(r) * math.comb(p, r)
+                                         * math.comb(q, r)))
     return out
 
 
 def covariance(a: ChaosDecomposition, b: ChaosDecomposition) -> float:
     """Cov[F_a, F_b] = sum_{q>=1} q! <a_q, b_q>."""
-    tot = 0.0
-    for q in set(a.tensors) & set(b.tensors):
-        if q >= 1:
-            tot += math.factorial(q) * inner(a.level(q), b.level(q))
-    return tot
+    return sum((wiener_inner(a.level(q), b.level(q))
+                for q in set(a.tensors) & set(b.tensors)), 0.0)
 
 
 def malliavin_inner(f: SymTensor, g: SymTensor) -> ChaosDecomposition:
@@ -217,35 +207,20 @@ def malliavin_inner(f: SymTensor, g: SymTensor) -> ChaosDecomposition:
     """
     p, q = f.order, g.order
     out = ChaosDecomposition(max(f.dim, g.dim))
-    if p == 0 or q == 0:
-        return out
-    for r in range(1, min(p, q) + 1):
-        coef = (p * q * math.factorial(r - 1)
-                * math.comb(p - 1, r - 1) * math.comb(q - 1, r - 1))
-        t = contract_sym(f, g, r).scale(coef)
-        lvl = p + q - 2 * r
-        out.set_level(lvl, out.level(lvl).add(t))
+    _add_contractions(out, f, g, range(1, min(p, q) + 1),
+                      lambda r: (p * q * math.factorial(r - 1)
+                                 * math.comb(p - 1, r - 1)
+                                 * math.comb(q - 1, r - 1)))
     return out
 
 
 def malliavin_second_moment(f: SymTensor, g: SymTensor) -> float:
-    """E[<D I_p(f), D I_q(g)>^2], exactly, via the contraction norms."""
+    """E[<D I_p(f), D I_q(g)>^2], exactly, via the contraction norms: the
+    levels of malliavin_inner are orthogonal, so it is the sum over r of
+    coef(r)^2 (p+q-2r)! ||f (x~)_r g||^2."""
     p, q = f.order, g.order
-    if p == 0 or q == 0:
-        return 0.0
-    if p == q:
-        tot = p ** 2 * math.factorial(p) ** 2 * inner(f, g) ** 2
-        for r in range(1, p):
-            t = contract_sym(f, g, r)
-            tot += (p ** 4 * math.factorial(r - 1) ** 2
-                    * math.comb(p - 1, r - 1) ** 4
-                    * math.factorial(2 * p - 2 * r) * t.norm_sq())
-        return tot
-    if p > q:
-        f, g = g, f
-        p, q = q, p
     tot = 0.0
-    for r in range(1, p + 1):
+    for r in range(1, min(p, q) + 1):
         t = contract_sym(f, g, r)
         tot += (p ** 2 * q ** 2 * math.factorial(r - 1) ** 2
                 * math.comb(p - 1, r - 1) ** 2
@@ -266,7 +241,6 @@ class CltCertificate:
     """
     bound: float
     y_variances: np.ndarray
-    alpha_dd: float
 
 
 def clt_error_certificate(polys: list[ChaosDecomposition],
@@ -276,15 +250,12 @@ def clt_error_certificate(polys: list[ChaosDecomposition],
     for a in range(r):
         for b in range(r):
             y = ChaosDecomposition(max(polys[a].dim, polys[b].dim))
-            for p, fa in polys[a].tensors.items():
-                if p < 1:
-                    continue
+            # order-0 levels have no derivative: malliavin_inner is empty
+            for fa in polys[a].tensors.values():
                 for q, fb in polys[b].tensors.items():
-                    if q < 1:
-                        continue
                     part = malliavin_inner(fa, fb)
                     for lvl, t in part.tensors.items():
                         y.set_level(lvl, y.level(lvl).add(t, 1.0 / q))
             yvar[a, b] = y.variance()
     bound = 0.5 * alpha_dd * float(np.sum(np.sqrt(np.maximum(yvar, 0.0))))
-    return CltCertificate(bound, yvar, alpha_dd)
+    return CltCertificate(bound, yvar)

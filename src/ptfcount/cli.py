@@ -160,8 +160,7 @@ def _cmd_decompose(args) -> int:
     var = chaos.variance()
     if var <= 0.0:
         raise InputError("constant polynomial has no decomposition")
-    dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)),
-                          args.tau if args.tau is not None else args.eps,
+    dec = regularize_poly(chaos.scale(1.0 / math.sqrt(var)), args.tau,
                           _schedule_from(args.schedule))
     _emit({"command": "decompose",
            "num_inner": len(dec.inner),
@@ -195,7 +194,7 @@ def _cmd_clt_bound(args) -> int:
     polys = [to_chaos(_load(path)) for path in args.polys]
     cert = clt_error_certificate(polys, alpha_dd=args.alpha_dd)
     _emit({"command": "clt-bound", "bound": cert.bound,
-           "alpha_dd": cert.alpha_dd,
+           "alpha_dd": args.alpha_dd,
            "y_variances": cert.y_variances, "params": _params(args)})
     return 0
 
@@ -260,10 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_count_boolean)
 
     sp = sub.add_parser("decompose")
-    eps(sp)
-    sp.add_argument("--tau", type=_POSITIVE, default=None,
-                    help="variance the decomposition may discard "
-                         "(default: eps)")
+    sp.add_argument("--tau", type=_POSITIVE, default=0.05,
+                    help="variance the decomposition may discard")
     sp.add_argument("--schedule", default=None,
                     help="file with an explicit non-increasing eta list")
     sp.add_argument("poly")

@@ -34,10 +34,11 @@ from .tensors import (
     SymTensor,
     contract_sym,
     eigenregularity,
-    inner,
     lambda_max,
     orbit_size,
     sub_multisets,
+    var_of,
+    wiener_inner,
 )
 from .chaos import ChaosDecomposition, single_level
 
@@ -50,13 +51,6 @@ M_SLACK = 8
 ETA0 = 0.2
 ETA_RATIO = 0.5
 ETA_MIN = 0.05
-
-
-def var_of(t: SymTensor) -> float:
-    """Var[I_q(f)] = q! ||f||^2 (0 for order 0)."""
-    if t.order == 0:
-        return 0.0
-    return math.factorial(t.order) * t.norm_sq()
 
 
 def make_schedule(eps: float, r: int, eta0: float = ETA0) -> list[float]:
@@ -168,7 +162,6 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     Var[P] = Var[Q] = Var[PQ] = 1, P and Q over disjoint variables and
     c >= eta/2^q; the remainder R = f - c u has Var[I_q(R)] = 1 - c^2.
     """
-    q = f.order
     rep = lambda_max(f)
     if rep.value < eta:
         return SplitOutcome(True, rep.value)
@@ -191,7 +184,7 @@ def split_one_wiener(f: SymTensor, eta: float) -> SplitOutcome:
     g1 = nu1.scale(1.0 / (math.sqrt(math.factorial(q1)) * n1))
     g2 = nu2.scale(1.0 / (math.sqrt(math.factorial(q2)) * n2))
     u = contract_sym(g1, g2, 0)  # tensor of P*Q, unit variance
-    c = math.factorial(q) * inner(f, u)
+    c = wiener_inner(f, u)
     return SplitOutcome(False, rep.value, c, g1, g2, u)
 
 
@@ -231,8 +224,7 @@ def decompose_one_wiener(f: SymTensor, eta: float,
     orthogonal to every P_j Q_j, and either Var[g] <= eps
     ("small remainder") or g/sd(g) is eta-eigenregular ("eigenregular").
     """
-    q = f.order
-    m_max = decompose_max_iter(q, eta, eps)
+    m_max = decompose_max_iter(f.order, eta, eps)
     products: list[SymTensor] = []
     pq: list[tuple[SymTensor, SymTensor]] = []
     g = f.copy()
@@ -260,11 +252,11 @@ def decompose_one_wiener(f: SymTensor, eta: float,
         mdim = len(products)
         gram = np.empty((mdim, mdim))
         rhs = np.empty(mdim)
-        fq = math.factorial(q)
         for i in range(mdim):
-            rhs[i] = fq * inner(f, products[i])
+            rhs[i] = wiener_inner(f, products[i])
             for j in range(i, mdim):
-                gram[i, j] = gram[j, i] = fq * inner(products[i], products[j])
+                gram[i, j] = gram[j, i] = wiener_inner(products[i],
+                                                       products[j])
         try:
             coeffs = list(np.linalg.solve(gram, rhs))
         except np.linalg.LinAlgError:
@@ -414,7 +406,7 @@ def multi_regularize_many_wieners(
     if d <= 1:
         for s, inp in enumerate(inputs):
             mu = inp.mean()
-            slices[s][0] = Polynomial(0, {(): mu} if mu != 0.0 else {})
+            slices[s][0] = Polynomial.constant(mu)
             f1 = inp.level(1)
             v1 = var_of(f1)
             if v1 > 0.0:
@@ -548,7 +540,7 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
     mu = chaos.mean()
 
     if d == 0:
-        h = Polynomial(0, {(): mu} if mu != 0.0 else {})
+        h = Polynomial.constant(mu)
         return DecompositionResult(h, [], 0.0, [], {"trivial": True})
 
     # normalize each level; remember the scale
@@ -562,7 +554,7 @@ def regularize_poly(chaos: ChaosDecomposition, tau: float,
             normed.set_level(q, fq.scale(1.0 / math.sqrt(vq)))
     res = multi_regularize_many_wieners([normed], d, tau, schedule)
 
-    h_global = Polynomial(0, {(): mu} if mu != 0.0 else {})
+    h_global = Polynomial.constant(mu)
     for q, sc in scales.items():
         h_global = h_global.add(res.slices[0][q].scale(sc))
 

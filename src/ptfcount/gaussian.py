@@ -55,7 +55,7 @@ import numpy as np
 # counts and moments that never reach a Gaussian leaf should not pay
 
 from .polynomials import Polynomial
-from .tensors import SymTensor, inner as tensor_inner
+from .tensors import SymTensor, wiener_inner
 
 
 # From two variables up, integrate_gaussian averages over 2^QMC_LOG2_N Sobol
@@ -106,12 +106,9 @@ def build_covariance(inner_polys: list[SymTensor]) -> np.ndarray:
     sig = np.zeros((r, r))
     for i in range(r):
         for j in range(i, r):
-            a, b = inner_polys[i], inner_polys[j]
-            if a.order == b.order and a.order >= 1:
-                v = math.factorial(a.order) * tensor_inner(a, b)
-            else:
-                v = 0.0
-            sig[i, j] = sig[j, i] = v
+            # mirrored: inner() swapped may differ in the last bit
+            sig[i, j] = sig[j, i] = wiener_inner(inner_polys[i],
+                                                 inner_polys[j])
     return sig
 
 

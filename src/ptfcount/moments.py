@@ -4,10 +4,11 @@ exact_raw_moment expands p^k symbolically with the reduction x_i^2 = 1 and
 reads off the constant term.  absolute_moment reads E|p|^k exactly off the
 hypercube transform boolean.hypercube_values when p touches at most
 ENUM_VARS variables; the transform is the one kernel that the Boolean
-leaves' count also reads.  Wider supports get a (1 +- eps) multiplicative
-bracket by integrating the threshold-count curve t -> Pr[|p| >= t] (a
-Riemann-Stieltjes bracket over a geometric grid of thresholds, each
-evaluated with the deterministic hypercube counter).
+leaves' count also reads.  Wider supports get E p^2 exactly from Parseval,
+and other k a (1 +- eps) multiplicative bracket by integrating the
+threshold-count curve t -> Pr[|p| >= t] (a Riemann-Stieltjes bracket over
+a geometric grid of thresholds, each evaluated with the deterministic
+hypercube counter).
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ def absolute_moment(p: Polynomial, k: int,
 
     When p touches at most ENUM_VARS variables, E|p|^k is the mean of
     |values|^k over the 2^m values of one hypercube transform: exact, with
-    value == lower == upper and no thresholds.
+    value == lower == upper and no thresholds.  So is E p^2 at any width:
+    the reduced p is multilinear, so by Parseval it is sum of c_S^2.
 
-    Wider supports take the threshold sweep: write E|q|^k = int t^k dF(t)
-    for the normalized q = p / sqrt(E[p^2]) and bracket the integral
-    between the lower and upper Stieltjes sums on a geometric threshold
-    grid of ratio 1 + eps/(2k); each F increment comes from two
-    deterministic threshold counts.  |q| <= l1(q) exactly, so the grid is
+    Wider supports and k != 2 take the threshold sweep: write
+    E|q|^k = int t^k dF(t) for the normalized q = p / sqrt(E[p^2]) and
+    bracket the integral between the lower and upper Stieltjes sums on a
+    geometric threshold grid of ratio 1 + eps/(2k); each F increment comes
+    from two deterministic threshold counts.  |q| <= l1(q) exactly, so the grid is
     finite with no tail error.
     """
     if k < 1:
@@ -67,8 +69,8 @@ def absolute_moment(p: Polynomial, k: int,
         return MomentEstimate(exact, exact, exact, 0)
     # Parseval: the multilinear work has E[work^2] = sum of c_S^2
     second = sum(c * c for c in work.coeffs.values())
-    if second <= 0.0:
-        return MomentEstimate(0.0, 0.0, 0.0, 0)
+    if k == 2 or second <= 0.0:
+        return MomentEstimate(second, second, second, 0)
     norm = math.sqrt(second)
     q = work.scale(1.0 / norm)
     top = q.l1_norm()

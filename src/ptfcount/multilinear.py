@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .polynomials import Polynomial
@@ -71,12 +72,8 @@ def linearize(p: Polynomial, delta: float,
     def total_terms(K: int) -> float:
         tot = 0.0
         for mono in hermite:
-            if not mono:
-                continue
-            counts: dict[int, int] = {}
-            for i in mono:
-                counts[i] = counts.get(i, 0) + 1
-            tot += _monomial_expansion_size(counts, K)
+            if mono:
+                tot += _monomial_expansion_size(Counter(mono), K)
         return tot
 
     while K > 2 and total_terms(K) > term_cap:
@@ -88,9 +85,7 @@ def linearize(p: Polynomial, delta: float,
             if c != 0.0:
                 out[()] = out.get((), 0.0) + c
             continue
-        counts: dict[int, int] = {}
-        for i in mono:
-            counts[i] = counts.get(i, 0) + 1
+        counts = Counter(mono)
         vars_ = sorted(counts)
         # He_a(x_i) expands to a!/K^{a/2} * e_a(y_{i,*}), the sum over
         # size-a replica subsets.

@@ -55,8 +55,6 @@ def enumerate_boolean(p: Polynomial, n: int | None = None) -> Fraction:
 class MCEstimate:
     value: float
     stderr: float
-    n_samples: int
-    seed: int
 
 
 def mc_gaussian(p: Polynomial, n_samples: int = 10 ** 6,
@@ -74,7 +72,7 @@ def mc_gaussian(p: Polynomial, n_samples: int = 10 ** 6,
         done += m
     phat = hits / n_samples
     stderr = math.sqrt(max(phat * (1.0 - phat), 1.0 / n_samples) / n_samples)
-    return MCEstimate(phat, stderr, n_samples, seed)
+    return MCEstimate(phat, stderr)
 
 
 def brute_lambda_max(f: SymTensor) -> float:

@@ -11,6 +11,13 @@ Contractions of two symmetric tensors are not symmetric, but they are
 separately symmetric in their row block and column block, so raw contraction
 results are stored as dicts keyed by (sorted left block, sorted right block).
 
+This module owns the covariance rule of the Wiener chaos: for symmetric
+tensors f and g of orders p and q, E[I_p(f) I_q(g)] is p! <f, g> when
+p = q >= 1 and 0 otherwise (wiener_inner), so Var[I_q(f)] = q! ||f||^2
+(var_of).  Every variance and covariance of chaos elements in the package
+goes through these two functions.  The Hermite basis change and the
+contraction series for products live in chaos.py.
+
 Contractions, flattenings and the decomposition's partition terms all walk
 the sub-multisets of a key through sub_multisets, which yields them in
 lexicographic order.  Their sums are taken in that order, so every answer
@@ -150,6 +157,20 @@ def inner(f: SymTensor, g: SymTensor) -> float:
     a, b = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) \
         else (g.coeffs, f.coeffs)
     return sum(orbit_size(k) * v * b[k] for k, v in a.items() if k in b)
+
+
+def wiener_inner(f: SymTensor, g: SymTensor) -> float:
+    """E[I_p(f) I_q(g)] = p! <f, g> when p = q >= 1, else 0."""
+    if f.order != g.order or f.order == 0:
+        return 0.0
+    return math.factorial(f.order) * inner(f, g)
+
+
+def var_of(t: SymTensor) -> float:
+    """Var[I_q(f)] = q! ||f||^2 (0 for order 0)."""
+    if t.order == 0:
+        return 0.0
+    return math.factorial(t.order) * t.norm_sq()
 
 
 BlockDict = dict[tuple[tuple[int, ...], tuple[int, ...]], float]
@@ -311,7 +332,7 @@ def eigenregularity(f: SymTensor) -> float:
     """lambda_max(f) / sqrt(Var[I_q(f)]); 0 for order <= 1."""
     if f.order <= 1:
         return 0.0
-    var = math.factorial(f.order) * f.norm_sq()
+    var = var_of(f)
     if var <= 0.0:
         return 0.0
     return lambda_max(f).value / math.sqrt(var)

@@ -135,8 +135,8 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     f.write_text("2 1 2\n1 3 4\n1 5 6\n1 1 3\n1 7 8 9\n")
     sched = tmp_path / "schedule.txt"
     sched.write_text("0.4\n")
-    code, _ = run_cli(["decompose", "--schedule", str(sched),
-                       "--eps", "0.05", str(f)], capsys)
+    code, _ = run_cli(["decompose", "--schedule", str(sched), str(f)],
+                      capsys)
     assert code == 3
 
 
@@ -163,7 +163,7 @@ def test_params_echo_only_read_flags(tmp_path, capsys):
         (["count-gaussian", str(f)], {"eps"}),
         (["count-boolean", str(f)], {"eps"}),
         (["moment", str(f)], {"eps", "k"}),
-        (["decompose", str(f)], {"eps", "tau", "schedule"}),
+        (["decompose", str(f)], {"tau", "schedule"}),
         (["eigreg", str(f)], set()),
         (["clt-bound", str(f)], {"alpha_dd"}),
         (["verify", "--samples", "1000", str(d)], {"eps", "samples", "seed"}),
@@ -192,7 +192,6 @@ def test_unread_flags_refused(tmp_path, capsys, flag):
     ["moment", "--k", "0"],
     ["decompose", "--tau", "nan"],
     ["decompose", "--tau", "-1"],
-    ["decompose", "--eps", "0"],
     ["clt-bound", "--alpha-dd", "nan"],
     ["verify", "--samples", "0"],
     ["verify", "--seed", "-1"],

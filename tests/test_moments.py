@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -111,6 +112,22 @@ def test_wide_support_sweep(k):
     want = enum_hypercube_expectation(p, fn=lambda v: np.abs(v) ** k)
     assert abs(est.value - want) <= 0.05 * want
     assert est.lower <= want <= est.upper
+
+
+def test_wide_support_second_moment_is_parseval():
+    # 20 variables, above ENUM_VARS: E p^2 is the sum of the squared
+    # coefficients of the multilinear p, with no threshold sweep
+    rng = np.random.default_rng(0)
+    coeffs = {(): 0.3}
+    for q in (1, 2):
+        for key in itertools.combinations(range(1, 21), q):
+            coeffs[key] = float(rng.normal())
+    p = Polynomial(20, coeffs)
+    assert len(p.coeffs) == 211
+    est = absolute_moment(p, 2, 0.05)
+    assert est.thresholds == 0
+    assert est.value == pytest.approx(exact_raw_moment(p, 2), rel=1e-12)
+    assert est.lower == est.value == est.upper
 
 
 def test_small_support_loads_no_scipy():

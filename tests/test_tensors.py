@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ptfcount.tensors import (
+    _DENSE_SVD_CAP,
     SymTensor,
     contract_sym,
     eigenregularity,
@@ -146,6 +147,17 @@ def test_lambda_max_vs_brute(rng):
         got = lambda_max(f).value
         want = brute_lambda_max(f)
         assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_lambda_max_sparse_svd_vs_brute():
+    # a 600 x 600 flattening, above _DENSE_SVD_CAP: the sparse top-singular
+    # solve, not the dense SVD, gives lambda_max
+    f = _random_tensor(np.random.default_rng(3), 2, 600, keys=3000,
+                       multilinear=True)
+    rows, cols = flattening(f, 1).matrix.shape
+    assert min(rows, cols) >= 3 and rows * cols > _DENSE_SVD_CAP
+    assert lambda_max(f).value == pytest.approx(brute_lambda_max(f),
+                                                rel=1e-9)
 
 
 def test_eigenregularity_scale_invariant(rng):
