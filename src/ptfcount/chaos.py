@@ -11,7 +11,10 @@ Hermite polynomial (He_0=1, He_1=x, He_2=x^2-1, ...).  Each identity of the
 chaos is written once.  The covariance rule E[I_p(f) I_q(g)] = 1{p=q} p!<f,g>
 is tensors.wiener_inner (and tensors.var_of).  The Hermite basis change, in
 both directions, is _basis_change.  The contraction series, behind the
-product and <D F, D G> alike, is _add_contractions.
+product and <D F, D G> alike, is _add_contractions.  Every sum a * t into
+one chaos level, there and in the CLT certificate and the decomposition's
+reconstruct, goes through ChaosDecomposition.add_to, which prunes the level
+as SymTensor.add does.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, merge_terms
 from .tensors import (
     SymTensor, contract_sym, orbit_size, var_of, wiener_inner)
 
@@ -92,6 +95,10 @@ class ChaosDecomposition:
             out.set_level(q, self.level(q).add(other.level(q), a))
         return out
 
+    def add_to(self, q: int, t: SymTensor, a: float = 1.0) -> None:
+        """Add a * t into level q in place."""
+        self.set_level(q, self.level(q).add(t, a))
+
     def scale(self, a: float) -> "ChaosDecomposition":
         out = ChaosDecomposition(self.dim)
         for q, t in self.tensors.items():
@@ -143,30 +150,23 @@ def to_chaos(p: Polynomial) -> ChaosDecomposition:
 
 def from_chaos(c: ChaosDecomposition) -> Polynomial:
     """Inverse of to_chaos: expand chaos slices back into monomials."""
-    out = Polynomial(c.dim, {})
-    for t in c.tensors.values():
-        for key, v in t.coeffs.items():
-            for k, w in _basis_change(key, v * orbit_size(key),
-                                      hermite_to_monomial):
-                nv = out.coeffs.get(k, 0.0) + w
-                if nv == 0.0:
-                    out.coeffs.pop(k, None)
-                else:
-                    out.coeffs[k] = nv
+    coeffs = merge_terms({}, (
+        kw for t in c.tensors.values() for key, v in t.coeffs.items()
+        for kw in _basis_change(key, v * orbit_size(key),
+                                hermite_to_monomial)))
     # drop numerically dead terms from float cancellation
-    big = max((abs(v) for v in out.coeffs.values()), default=0.0)
+    big = max((abs(v) for v in coeffs.values()), default=0.0)
     cut = 1e-13 * big
-    out.coeffs = {k: v for k, v in out.coeffs.items() if abs(v) > cut}
-    return out
+    return Polynomial(c.dim, {k: v for k, v in coeffs.items()
+                              if abs(v) > cut})
 
 
 def _add_contractions(out: ChaosDecomposition, f: SymTensor, g: SymTensor,
                       rs, coef) -> None:
     """Add sum_{r in rs} coef(r) I_{p+q-2r}(f (x~)_r g) into out."""
     for r in rs:
-        lvl = f.order + g.order - 2 * r
-        t = contract_sym(f, g, r).scale(coef(r))
-        out.set_level(lvl, out.level(lvl).add(t))
+        out.add_to(f.order + g.order - 2 * r, contract_sym(f, g, r),
+                   coef(r))
 
 
 def ito_multiply(a: ChaosDecomposition,
@@ -184,8 +184,7 @@ def ito_multiply(a: ChaosDecomposition,
             if p == 0 or q == 0:
                 base, scal = (g, f.coeffs.get((), 0.0)) if p == 0 \
                     else (f, g.coeffs.get((), 0.0))
-                out.set_level(base.order,
-                              out.level(base.order).add(base.scale(scal)))
+                out.add_to(base.order, base, scal)
                 continue
             _add_contractions(out, f, g, range(min(p, q) + 1),
                               lambda r: (math.factorial(r) * math.comb(p, r)
@@ -255,7 +254,7 @@ def clt_error_certificate(polys: list[ChaosDecomposition],
                 for q, fb in polys[b].tensors.items():
                     part = malliavin_inner(fa, fb)
                     for lvl, t in part.tensors.items():
-                        y.set_level(lvl, y.level(lvl).add(t, 1.0 / q))
+                        y.add_to(lvl, t, 1.0 / q)
             yvar[a, b] = y.variance()
     bound = 0.5 * alpha_dd * float(np.sum(np.sqrt(np.maximum(yvar, 0.0))))
     return CltCertificate(bound, yvar)

@@ -518,14 +518,12 @@ def reconstruct(h: Polynomial,
     out = ChaosDecomposition(dim)
     for mono, c in h.coeffs.items():
         if not mono:
-            lvl0 = out.level(0).add(SymTensor(0, dim, {(): c}))
-            out.set_level(0, lvl0)
+            out.add_to(0, SymTensor(0, dim, {(): c}))
             continue
         t = inner[mono[0] - 1]
         for aid in mono[1:]:
             t = contract_sym(t, inner[aid - 1], 0)
-        lvl = out.level(t.order).add(t, c)
-        out.set_level(t.order, lvl)
+        out.add_to(t.order, t, c)
     return out
 
 

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, merge_terms
 from .tensors import orbit_size
 
 # With replication K the substituted polynomial has up to ~K^d/prod(alpha!)
@@ -56,7 +56,7 @@ def linearize(p: Polynomial, delta: float,
 
     d = p.degree()
     if d == 0:
-        return LinearizeResult(p.copy(), 1, 0.0)
+        return LinearizeResult(Polynomial(p.dim, dict(p.coeffs)), 1, 0.0)
     K = min(replication_count(d, delta), k_cap)
 
     # substitution acts on the Hermite expansion: the constant mean term is
@@ -81,29 +81,20 @@ def linearize(p: Polynomial, delta: float,
 
     out: dict[tuple[int, ...], float] = {}
     for mono, c in hermite.items():
-        if not mono:
-            if c != 0.0:
-                out[()] = out.get((), 0.0) + c
-            continue
         counts = Counter(mono)
         vars_ = sorted(counts)
         # He_a(x_i) expands to a!/K^{a/2} * e_a(y_{i,*}), the sum over
-        # size-a replica subsets.
+        # size-a replica subsets; the constant is its own one term.
         scale = c
         for i in vars_:
             a = counts[i]
             scale *= math.factorial(a) / K ** (a / 2.0)
         per_var = [itertools.combinations(range(1, K + 1), counts[i])
                    for i in vars_]
-        for combo in itertools.product(*per_var):
-            key = []
-            for i, subset in zip(vars_, combo):
-                key.extend(flat_index(i, j, K) for j in subset)
-            key_t = tuple(sorted(key))
-            w = out.get(key_t, 0.0) + scale
-            if w == 0.0:
-                out.pop(key_t, None)
-            else:
-                out[key_t] = w
+        replicas = (tuple(sorted(flat_index(i, j, K)
+                                 for i, subset in zip(vars_, combo)
+                                 for j in subset))
+                    for combo in itertools.product(*per_var))
+        merge_terms(out, ((key, scale) for key in replicas))
 
     return LinearizeResult(Polynomial(p.dim * K, out), K, d * d / K)

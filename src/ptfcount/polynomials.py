@@ -4,13 +4,37 @@ A polynomial is a dict from monomial to coefficient.  The monomial key is
 the sorted tuple of 1-based variable indices with repetition, so x1^2 x3 is
 (1, 1, 3) and the constant term is ().  This mirrors the multi-index keys
 used by the tensor layer.
+
+Every stored coefficient is nonzero: support_vars, degree, the Boolean
+influences and the Gaussian integrator read a polynomial's support off its
+keys.  merge_terms is the one place that sums terms into a monomial dict,
+and it keeps this invariant by dropping any key whose sum is exactly 0.0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def merge_terms(out: dict[tuple[int, ...], float],
+                terms: Iterable[tuple[tuple[int, ...], float]]
+                ) -> dict[tuple[int, ...], float]:
+    """Add each (monomial, value) pair of terms into out and return out.
+
+    A key whose sum is exactly 0.0 is removed, so every coefficient left in
+    out is nonzero (see the module docstring).
+    """
+    for k, v in terms:
+        w = out.get(k, 0.0) + v
+        if w == 0.0:
+            out.pop(k, None)
+        else:
+            out[k] = w
+    return out
+
 
 @dataclass
 class Polynomial:
@@ -24,70 +48,36 @@ class Polynomial:
     def degree(self) -> int:
         return max((len(k) for k in self.coeffs), default=0)
 
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.dim, dict(self.coeffs))
-
     def constant_term(self) -> float:
         return self.coeffs.get((), 0.0)
 
     def add(self, other: "Polynomial", a: float = 1.0) -> "Polynomial":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k, 0.0) + a * v
-            if w == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = w
+        out = merge_terms(dict(self.coeffs),
+                          ((k, a * v) for k, v in other.coeffs.items()))
         return Polynomial(max(self.dim, other.dim), out)
 
     def scale(self, a: float) -> "Polynomial":
-        if a == 0.0:
-            return Polynomial(self.dim, {})
-        return Polynomial(self.dim, {k: a * v for k, v in self.coeffs.items()})
+        return Polynomial(self.dim, merge_terms(
+            {}, ((k, a * v) for k, v in self.coeffs.items())))
 
     def mul(self, other: "Polynomial") -> "Polynomial":
-        out: dict[tuple[int, ...], float] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = tuple(sorted(ka + kb))
-                w = out.get(k, 0.0) + va * vb
-                if w == 0.0:
-                    out.pop(k, None)
-                else:
-                    out[k] = w
+        out = merge_terms({}, ((tuple(sorted(ka + kb)), va * vb)
+                               for ka, va in self.coeffs.items()
+                               for kb, vb in other.coeffs.items()))
         return Polynomial(max(self.dim, other.dim), out)
 
     def hypercube_reduce(self) -> "Polynomial":
         """Multilinear reduction over {-1,1}^n: replace x_i^2 by 1."""
-        out: dict[tuple[int, ...], float] = {}
-        for k, v in self.coeffs.items():
-            counts: dict[int, int] = {}
-            for i in k:
-                counts[i] = counts.get(i, 0) + 1
-            red = tuple(sorted(i for i, c in counts.items() if c % 2 == 1))
-            w = out.get(red, 0.0) + v
-            if w == 0.0:
-                out.pop(red, None)
-            else:
-                out[red] = w
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, merge_terms({}, (
+            (tuple(sorted(i for i in set(k) if k.count(i) % 2)), v)
+            for k, v in self.coeffs.items())))
 
     def restrict(self, var: int, value: float) -> "Polynomial":
         """Substitute x_var = value."""
-        out: dict[tuple[int, ...], float] = {}
-        for k, v in self.coeffs.items():
-            m = sum(1 for i in k if i == var)
-            if m:
-                v = v * (value ** m)
-                k = tuple(i for i in k if i != var)
-            if v == 0.0:
-                continue
-            w = out.get(k, 0.0) + v
-            if w == 0.0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return Polynomial(self.dim, out)
+        return Polynomial(self.dim, merge_terms({}, (
+            (tuple(i for i in k if i != var), v * (value ** k.count(var)))
+            if var in k else (k, v)
+            for k, v in self.coeffs.items())))
 
     def support_vars(self) -> set[int]:
         s: set[int] = set()

@@ -8,8 +8,12 @@ implicit and is supplied by orbit_size() wherever norms or inner products
 need it.
 
 Contractions of two symmetric tensors are not symmetric, but they are
-separately symmetric in their row block and column block, so raw contraction
-results are stored as dicts keyed by (sorted left block, sorted right block).
+separately symmetric in their row block and column block.  contract_sym,
+the one symmetrized contraction, sums the raw contraction into dicts keyed
+by (sorted left block, sorted right block) and only then weights each block
+by its orbit sizes and symmetrizes.  Folding the orbit weights into the
+first sum would reorder the float additions and move the last bits of every
+product, Malliavin inner product and decomposition built on it.
 
 This module owns the covariance rule of the Wiener chaos: for symmetric
 tensors f and g of orders p and q, E[I_p(f) I_q(g)] is p! <f, g> when
@@ -173,25 +177,25 @@ def var_of(t: SymTensor) -> float:
     return math.factorial(t.order) * t.norm_sq()
 
 
-BlockDict = dict[tuple[tuple[int, ...], tuple[int, ...]], float]
+def contract_sym(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
+    """Symmetrized contraction f (x~)_r g.
 
-
-def contract(f: SymTensor, g: SymTensor, r: int) -> BlockDict:
-    """Contraction product f (x)_r g as a block-canonical raw tensor.
-
-    Entry at raw index (s||t) with s in [n]^{p-r}, t in [n]^{q-r} is
-    sum over u in [n]^r of f(s||u) g(u||t); the result depends only on the
-    multisets of s and t, and is returned keyed by (sorted s, sorted t).
+    The raw contraction f (x)_r g has entry sum_{u in [n]^r} f(s||u) g(u||t)
+    at index (s||t); it depends only on the multisets of s and t.  It is
+    summed first into (sorted s, sorted t) blocks, then each block is
+    weighted by its orbit sizes and symmetrized (see the module docstring
+    for why this order is kept).
     """
     p, q = f.order, g.order
     if r < 0 or r > min(p, q):
         raise ValueError("invalid contraction order")
+    dim = max(f.dim, g.dim)
     # Index the f side by sub-multiset u so the join is output sensitive.
     f_by_u: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
     for kf, vf in f.coeffs.items():
         for u, s in sub_multisets(kf, r):
             f_by_u.setdefault(u, []).append((s, vf))
-    out: BlockDict = {}
+    blocks: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
     for kg, vg in g.coeffs.items():
         for u, t in sub_multisets(kg, r):
             hits = f_by_u.get(u)
@@ -200,32 +204,18 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BlockDict:
             w = orbit_size(u) * vg
             for s, vf in hits:
                 key = (s, t)
-                out[key] = out.get(key, 0.0) + vf * w
-    return out
-
-
-def symmetrize_blocks(blocks: BlockDict, left: int, right: int,
-                      dim: int) -> SymTensor:
-    """Symmetrize a block-canonical raw tensor of order left+right."""
-    order = left + right
-    if order == 0:
+                blocks[key] = blocks.get(key, 0.0) + vf * w
+    if p + q == 2 * r:
         val = blocks.get(((), ()), 0.0)
         return SymTensor(0, dim, {(): val} if val else {})
     acc: dict[tuple[int, ...], float] = {}
     for (s, t), v in blocks.items():
         k = tuple(sorted(s + t))
         acc[k] = acc.get(k, 0.0) + orbit_size(s) * orbit_size(t) * v
-    out = {k: v / orbit_size(k) for k, v in acc.items()}
-    tns = SymTensor(order, dim, out)
+    tns = SymTensor(p + q - 2 * r, dim,
+                    {k: v / orbit_size(k) for k, v in acc.items()})
     tns.prune()
     return tns
-
-
-def contract_sym(f: SymTensor, g: SymTensor, r: int) -> SymTensor:
-    """Symmetrized contraction f (x~)_r g."""
-    blocks = contract(f, g, r)
-    return symmetrize_blocks(blocks, f.order - r, g.order - r,
-                             max(f.dim, g.dim))
 
 
 @dataclass

@@ -178,3 +178,21 @@ def test_dense_n18_settles_at_depth_two(rng):
     assert res.diagnostics["leaves"] == 4
     assert res.diagnostics["depth"] == 2
     assert res.value == float(enumerate_boolean(p))
+
+
+def test_concentration_decided_leaf():
+    # 12 + x_1 + ... + x_20: the sum can reach -8, so the sign is not fixed
+    # on the whole cube, but the mean is past the Chernoff cut at the root
+    eps = 0.05
+    p = Polynomial(20, {(): 12.0, **{(i,): 1.0 for i in range(1, 21)}})
+    tree = construct_tree(p, derive_tau(eps, 1), eps)
+    assert len(tree.leaves) == 1
+    leaf = tree.leaves[0]
+    assert (leaf.kind, leaf.depth, leaf.value) == ("decided", 0, 1.0)
+    res = count_boolean(p, eps)
+    assert res.value == 1.0
+    assert res.budget["leaf_errors"] == eps / 8.0
+    # exactly 1047225 / 2^20 of the cube has p >= 0
+    truth = enumerate_boolean(p)
+    assert float(truth) == 1047225 / 2 ** 20
+    assert abs(res.value - float(truth)) <= res.budget["leaf_errors"]

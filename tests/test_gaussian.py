@@ -13,11 +13,13 @@ from scipy.stats import chi2, ncx2, norm
 import ptfcount
 from ptfcount.polynomials import Polynomial
 from ptfcount.gaussian import (
+    NODE_CAP,
     QMC_LOG2_N,
     QMC_SEED,
     _sobol_normals,
     build_covariance,
     count_gaussian,
+    count_quadratic,
     integrate_gaussian,
     quadratic_form,
     round_psd,
@@ -350,3 +352,24 @@ def test_quadratic_form_vs_mc(rng):
         assert abs(res.value - mc.value) <= 0.05 + 4 * mc.stderr
         # far tighter in practice: the answer is exact up to 5e-5
         assert abs(res.value - mc.value) <= 5 * mc.stderr + 5e-5
+
+
+def test_quadratic_past_node_cap():
+    # one eigenvalue dominates: the truncation tail decays slowly, the
+    # quadrature stops at NODE_CAP and reports the bound it reached
+    eps = 0.05
+    res = count_quadratic(Polynomial(2, {(1, 1): 1.0, (2, 2): 1e-6,
+                                         (): -1.0}), eps)
+    assert res.diagnostics["nodes"] == NODE_CAP
+    bound = res.budget["quadratic_form"]
+    assert bound > eps / 1000.0
+    assert bound == pytest.approx(1.69e-4, rel=0.01)
+    assert res.value == pytest.approx(0.3173105341, abs=1e-10)
+    # Pr[x1^2 >= 1 - 1e-6 y^2] = E[2 Phi(-sqrt(max(0, 1 - 1e-6 y^2)))]
+    def integrand(y):
+        return (2.0 * norm.cdf(-math.sqrt(max(0.0, 1.0 - 1e-6 * y * y)))
+                * norm.pdf(y))
+    want = quad(integrand, -np.inf, np.inf, epsabs=1e-13)[0]
+    assert want == pytest.approx(2.0 * norm.cdf(-1.0) + 1e-6 * norm.pdf(1.0),
+                                 abs=1e-10)
+    assert abs(res.value - want) <= bound

@@ -86,3 +86,15 @@ def test_var_bound_field():
     p = Polynomial(1, {(1, 1, 1): 1.0})
     res = linearize(p, delta=0.5, k_cap=16)
     assert res.var_bound == pytest.approx(9.0 / res.K)
+
+
+def test_constant_input_is_copied():
+    # d = 0 skips the replication, whose variance bound divides by K
+    p = Polynomial(3, {(): 2.0})
+    res = linearize(p, 0.5)
+    assert res.K == 1
+    assert res.var_bound == 0.0
+    assert res.poly.coeffs == {(): 2.0}
+    res.poly.coeffs[()] = 5.0
+    res.poly.coeffs[(1,)] = 1.0
+    assert p.coeffs == {(): 2.0}
